@@ -24,12 +24,11 @@ from .automaton import (
 )
 from .cones import (
     ConeReport,
-    _extend_details,
-    _extension_candidates,
     cone_sequence,
     ell_all,
     escape_word_from_steps,
-    masked_sum,
+    extend_mask,
+    polar_escape,
 )
 from .errors import (
     CapExceeded,
@@ -43,7 +42,6 @@ from .permgroup import (
     CayleyDiameters,
     cayley_diameters,
     is_transitive,
-    permutation_letters,
     perms_of,
 )
 
@@ -93,14 +91,17 @@ def bound_rystsov(
     diameters: CayleyDiameters | None = None,
 ) -> int:
     """1 + (n-2) * (n - 1 + d) with d the exact-power generating diameter."""
-    a_ids = permutation_letters(aut) if a_set is None else tuple(sorted(set(a_set)))
-    perms = perms_of(aut, a_ids)
+    perms = perms_of(aut, a_set)
     if not is_transitive(perms, aut.n):
         raise NotTransitive("bound needs a transitive permutation set")
     if diameters is None:
         diameters = cayley_diameters(perms, aut.n, cap)
-    n = aut.n
-    return 1 + (n - 2) * (n - 1 + diameters.exact_power) if n >= 2 else 0
+    return rystsov_value(aut.n, diameters.exact_power)
+
+
+def rystsov_value(n: int, d: int) -> int:
+    """1 + (n-2) * (n - 1 + d) for n states and generating diameter d."""
+    return 1 + (n - 2) * (n - 1 + d) if n >= 2 else 0
 
 
 def bound_defect1(aut: Automaton) -> int:
@@ -148,7 +149,7 @@ def synthesize_reset_word(
     ]
     words = [(seed_letter,)]
     while mask != aut.full_mask:
-        word, escape_len = _extend_details(aut, cone.a_letters, mask, cone)
+        word, escape_len = extend_mask(aut, mask, cone)
         new_mask = word_preimage_mask(aut, mask, word)
         steps.append(
             ExtensionStep(
@@ -218,8 +219,7 @@ def extensibility_bound_check(
         raise UnsupportedAlphabet("a letter of defect 2 or more is present")
     if not is_synchronizing(aut):
         raise NotSynchronizing("extension audit needs a synchronizing automaton")
-    a_ids = permutation_letters(aut) if a_set is None else tuple(sorted(set(a_set)))
-    if not is_transitive(perms_of(aut, a_ids), aut.n):
+    if not is_transitive(perms_of(aut, a_set), aut.n):
         raise NotTransitive("extension audit needs a transitive permutation set")
 
     n = aut.n
@@ -237,10 +237,9 @@ def extensibility_bound_check(
             max_extension_length=None,
         )
 
-    cone = cone_sequence(aut, a_ids)
+    cone = cone_sequence(aut, a_set)
     k = cone.trans_len_k
     bound = 2 * n - 3
-    candidates = _extension_candidates(cone)
     violations: list[str] = []
     max_len = 0
 
@@ -252,21 +251,18 @@ def extensibility_bound_check(
                 f"{escape_len} + 1 exceeds {bound}"
             )
             return
-        for kv in candidates:
-            if masked_sum(kv.vector, escaped_mask) > 0:
-                word = kv.word + witness
-                max_len = max(max_len, len(word))
-                if len(word) > bound:
-                    violations.append(
-                        f"subset {sorted(states_of(mask))}: extension of "
-                        f"length {len(word)} exceeds {bound}"
-                    )
-                elif word_preimage_mask(aut, mask, word).bit_count() <= mask.bit_count():
-                    violations.append(
-                        f"subset {sorted(states_of(mask))}: word did not extend"
-                    )
-                return
-        violations.append(f"subset {sorted(states_of(mask))}: no extension word found")
+        word = cone.extension_word(escaped_mask, witness)
+        if word is None:
+            violations.append(f"subset {sorted(states_of(mask))}: no extension word found")
+            return
+        max_len = max(max_len, len(word))
+        if len(word) > bound:
+            violations.append(
+                f"subset {sorted(states_of(mask))}: extension of "
+                f"length {len(word)} exceeds {bound}"
+            )
+        elif word_preimage_mask(aut, mask, word).bit_count() <= mask.bit_count():
+            violations.append(f"subset {sorted(states_of(mask))}: word did not extend")
 
     size = 1 << n
     if size <= subset_limit:
@@ -282,15 +278,15 @@ def extensibility_bound_check(
             check_mask(mask, dist[mask], escaped_mask, witness)
     else:
         mode = "sampled"
-        from .cones import ell
-
         rng = random.Random(seed)
         checked = 0
         full = aut.full_mask
         while checked < samples:
             mask = rng.randrange(1, full)  # nonempty proper subsets only
             checked += 1
-            escape_len, witness = ell(aut, a_ids, states_of(mask), cone=cone)
+            # synchronizing was checked above, and the transitive
+            # permutation set makes the automaton strongly connected
+            escape_len, witness = polar_escape(aut, cone.limit_vectors, mask)
             escaped_mask = word_preimage_mask(aut, mask, witness)
             check_mask(mask, escape_len, escaped_mask, witness)
 
@@ -366,12 +362,8 @@ def build_bounds_report(
         d_exact_power=diameters.exact_power if diameters else None,
         d_prefix_closed=diameters.prefix_closed if diameters else None,
         bound_main=main,
-        bound_rystsov_exact=(
-            1 + (n - 2) * (n - 1 + diameters.exact_power) if diameters and n >= 2 else None
-        ),
-        bound_rystsov_prefix=(
-            1 + (n - 2) * (n - 1 + diameters.prefix_closed) if diameters and n >= 2 else None
-        ),
+        bound_rystsov_exact=rystsov_value(n, diameters.exact_power) if diameters else None,
+        bound_rystsov_prefix=rystsov_value(n, diameters.prefix_closed) if diameters else None,
         bound_defect1=defect1,
         square_bound=(n - 1) ** 2,
         rt_exact=rt,

@@ -28,13 +28,7 @@ from .fileformat import emit_automaton, parse_automaton
 from .generate import cerny, random_st
 from .growth import GrowthTrace, gamma_growth
 from .permgroup import DEFAULT_GROUP_CAP, permutation_letters, perms_of
-from .verify import (
-    suite_bounds,
-    suite_cerny,
-    suite_enumerate,
-    suite_lemmas,
-    worker_count,
-)
+from .verify import suite_bounds, suite_cerny, suite_enumerate, suite_lemmas
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -315,19 +309,18 @@ def cmd_rt(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    workers = worker_count()
     if args.suite == "cerny":
-        suite = suite_cerny(args.n or 8, workers=workers)
+        suite = suite_cerny(args.n or 8)
     elif args.suite == "enumerate":
         if args.n is None:
             raise ValueError("--n is required for the enumerate suite")
-        suite = suite_enumerate(args.n, args.letters, workers=workers)
+        suite = suite_enumerate(args.n, args.letters)
     elif args.suite == "bounds":
         ns = (args.n,) if args.n else (5, 6, 7, 8, 9, 10)
-        suite = suite_bounds(args.seed_count, ns, args.seed, workers=workers)
+        suite = suite_bounds(args.seed_count, ns, args.seed)
     else:
         ns = (args.n,) if args.n else (5, 6, 7, 8, 9, 10)
-        suite = suite_lemmas(args.seed_count, ns, args.seed, workers=workers)
+        suite = suite_lemmas(args.seed_count, ns, args.seed)
     report = {
         "command": "verify",
         "suite": suite.suite,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .automaton import (
@@ -24,7 +25,6 @@ from .automaton import (
     mask_of,
     preimage_mask,
     preimage_mask_table,
-    states_of,
     word_preimage_mask,
 )
 from .errors import (
@@ -43,7 +43,7 @@ from .linalg import (
     orthogonal_complement,
     span_basis,
 )
-from .permgroup import Perm, is_transitive, permutation_letters, perms_of
+from .permgroup import Perm, is_transitive, resolve_perm_set
 
 
 @dataclass(frozen=True)
@@ -141,10 +141,20 @@ class ConeReport:
             raise NotTransitive("limit cone is only known to be a subspace for transitive sets")
         return self.span_dim
 
+    @cached_property
+    def extension_candidates(self) -> tuple[KVector, ...]:
+        """Generator words usable by the extension step, shortest-then-lex order."""
+        depth = self.trans_len_k + 1
+        return tuple(kv for kv in self.limit_generators if len(kv.word) <= depth)
 
-def _resolve_a_set(aut: Automaton, a_set: Sequence[int] | None) -> tuple[tuple[int, ...], tuple[Perm, ...]]:
-    ids = permutation_letters(aut) if a_set is None else tuple(sorted(set(a_set)))
-    return ids, perms_of(aut, ids)
+    def extension_word(self, escaped_mask: int, witness: Word) -> Word | None:
+        """The first candidate word followed by ``witness`` whose vector is
+        positive on the subset that ``witness`` carried out of the polar cone;
+        None when no candidate is."""
+        for kv in self.extension_candidates:
+            if masked_sum(kv.vector, escaped_mask) > 0:
+                return kv.word + witness
+        return None
 
 
 def cone_sequence(aut: Automaton, a_set: Sequence[int] | None = None) -> ConeReport:
@@ -156,7 +166,7 @@ def cone_sequence(aut: Automaton, a_set: Sequence[int] | None = None) -> ConeRep
     later levels only shift existing vectors, and the shift maps carry the
     stabilized set (or cone) into itself.
     """
-    a_ids, perms = _resolve_a_set(aut, a_set)
+    a_ids, perms = resolve_perm_set(aut, a_set)
     deficient = deficient_letters(aut)
     if not deficient:
         raise NoDeficientLetters("every letter is a permutation")
@@ -223,6 +233,13 @@ def _escapes_polar(vectors: Sequence[Vector], mask: int) -> bool:
     return any(masked_sum(v, mask) > 0 for v in vectors)
 
 
+def _proper_subset_mask(aut: Automaton, s: Sequence[int] | frozenset[int]) -> int:
+    mask = mask_of(s, aut.n)
+    if mask == 0 or mask == aut.full_mask:
+        raise ValueError("need a nonempty proper subset of the states")
+    return mask
+
+
 def ell(
     aut: Automaton,
     a_set: Sequence[int] | None = None,
@@ -241,12 +258,20 @@ def ell(
         raise NotSynchronizing("polar escape needs a synchronizing automaton")
     if not is_strongly_connected(aut):
         raise NotStronglyConnected("polar escape needs a strongly connected automaton")
-    mask = mask_of(s, aut.n)
-    if mask == 0 or mask == aut.full_mask:
-        raise ValueError("need a nonempty proper subset of the states")
+    mask = _proper_subset_mask(aut, s)
     if cone is None:
         cone = cone_sequence(aut, a_set)
-    vectors = cone.limit_vectors
+    return polar_escape(aut, cone.limit_vectors, mask)
+
+
+def polar_escape(aut: Automaton, vectors: Sequence[Vector], mask: int) -> tuple[int, Word]:
+    """The escape BFS behind :func:`ell` for a subset mask and the limit
+    generator vectors, without the checks on the automaton.
+
+    The caller guarantees that ``aut`` is synchronizing and strongly
+    connected and that ``mask`` is a nonempty proper subset; otherwise the
+    subset may never escape and this raises InternalContradiction.
+    """
     if _escapes_polar(vectors, mask):
         return 0, EPSILON
     k = len(aut.letters)
@@ -274,33 +299,25 @@ def ell(
     )
 
 
-def _extension_candidates(cone: ConeReport) -> list[KVector]:
-    """Generator words usable by the extension step, shortest-then-lex order."""
-    depth = cone.trans_len_k + 1
-    return [kv for kv in cone.limit_generators if len(kv.word) <= depth]
+def extend_mask(aut: Automaton, mask: int, cone: ConeReport) -> tuple[Word, int]:
+    """Extension word for the subset given as a mask, plus its escape length.
 
-
-def _extend_details(
-    aut: Automaton,
-    a_set: Sequence[int] | None,
-    mask: int,
-    cone: ConeReport,
-) -> tuple[Word, int]:
-    """Extension word for the subset given as a mask, plus its escape length."""
-    ell_len, w = ell(aut, a_set, states_of(mask), cone=cone)
-    p_mask = word_preimage_mask(aut, mask, w)
-    for kv in _extension_candidates(cone):
-        if masked_sum(kv.vector, p_mask) > 0:
-            word = kv.word + w
-            if word_preimage_mask(aut, mask, word).bit_count() <= mask.bit_count():
-                raise InternalContradiction(
-                    f"extension word {word} failed to grow the preimage"
-                )
-            return word, ell_len
-    raise InternalContradiction(
-        "no generator word extends the escaped subset; the stabilized cone "
-        "certificate is violated"
-    )
+    Preconditions, checked once by the caller and not here: ``aut`` is
+    synchronizing, ``cone`` belongs to ``aut`` and comes from a transitive
+    permutation set (``cone.is_subspace``), and ``mask`` is a nonempty proper
+    subset.  A transitive permutation set already makes the automaton
+    strongly connected, so the escape needs no connectivity check either.
+    """
+    ell_len, w = polar_escape(aut, cone.limit_vectors, mask)
+    word = cone.extension_word(word_preimage_mask(aut, mask, w), w)
+    if word is None:
+        raise InternalContradiction(
+            "no generator word extends the escaped subset; the stabilized cone "
+            "certificate is violated"
+        )
+    if word_preimage_mask(aut, mask, word).bit_count() <= mask.bit_count():
+        raise InternalContradiction(f"extension word {word} failed to grow the preimage")
+    return word, ell_len
 
 
 def extend_subset(
@@ -321,10 +338,7 @@ def extend_subset(
         cone = cone_sequence(aut, a_set)
     if not cone.is_subspace:
         raise NotTransitive("extension bounds need a transitive permutation set")
-    mask = mask_of(s, aut.n)
-    if mask == 0 or mask == aut.full_mask:
-        raise ValueError("need a nonempty proper subset of the states")
-    word, _ = _extend_details(aut, a_set, mask, cone)
+    word, _ = extend_mask(aut, _proper_subset_mask(aut, s), cone)
     return word
 
 
@@ -343,12 +357,7 @@ def ell_all(
     n = aut.n
     size = 1 << n
     pre_tabs = preimage_mask_table(aut)
-    escaped = bytearray(size)
-    for vec in vectors:
-        sums = subset_sums(vec, size)
-        for m in range(size):
-            if sums[m] > 0:
-                escaped[m] = 1
+    escaped = escaped_masks(vectors, n)
     rev: list[list[tuple[int, int]]] = [[] for _ in range(size)]
     for m in range(size):
         for a, tab in enumerate(pre_tabs):
@@ -369,6 +378,19 @@ def ell_all(
                 step[m] = (a, u)
                 queue.append(m)
     return dist, step
+
+
+def escaped_masks(vectors: Sequence[Vector], n: int) -> bytearray:
+    """escaped[m] is 1 exactly when the subset with mask ``m`` lies outside
+    the polar cone, i.e. some vector has a positive sum over it."""
+    size = 1 << n
+    escaped = bytearray(size)
+    for vec in vectors:
+        sums = subset_sums(vec, size)
+        for m in range(size):
+            if sums[m] > 0:
+                escaped[m] = 1
+    return escaped
 
 
 def escape_word_from_steps(

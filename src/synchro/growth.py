@@ -14,13 +14,15 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .automaton import Automaton, Word, letters_of_defect
+from .cones import cone_sequence, k_vector
 from .errors import (
     NoDefectOneLetters,
     NotTransitive,
     UnsupportedAlphabet,
     WrongDefect,
 )
-from .permgroup import Perm, is_transitive, perms_of, permutation_letters
+from .linalg import orthogonal_complement, span_basis, unit_difference
+from .permgroup import Perm, is_transitive, perms_of
 
 Arc = tuple[int, int]
 
@@ -179,17 +181,12 @@ def scc_wcc(g: Digraph) -> ComponentDecomposition:
 def excluded_and_duplicate(aut: Automaton, word: Word) -> tuple[int, int]:
     """The unique state missing from the image and the unique doubled fiber.
 
-    Defined exactly for words of defect one; both states are 1-indexed.
+    Defined exactly for words of defect one; both states are 1-indexed.  They
+    are the -1 and +1 entries of the word's preimage-growth vector.
     """
-    aut.validate_word(word)
-    counts = [0] * aut.n
-    for q in range(aut.n):
-        img = q
-        for a in word:
-            img = aut.table[a][img]
-        counts[img] += 1
-    missing = [q for q, c in enumerate(counts) if c == 0]
-    doubled = [q for q, c in enumerate(counts) if c == 2]
+    vector = k_vector(aut, word).vector
+    missing = [q for q, c in enumerate(vector) if c == -1]
+    doubled = [q for q, c in enumerate(vector) if c == 1]
     if len(missing) != 1 or len(doubled) != 1:
         raise WrongDefect(f"word has defect {len(missing)}, need exactly 1")
     return missing[0] + 1, doubled[0] + 1
@@ -250,8 +247,7 @@ def gamma_growth(aut: Automaton, a_set: Sequence[int] | None = None) -> GrowthTr
     sigma1 = sorted(letters_of_defect(aut, 1)) if aut.n >= 2 else []
     if not sigma1:
         raise NoDefectOneLetters("no letter has defect exactly 1")
-    a_ids = permutation_letters(aut) if a_set is None else tuple(sorted(set(a_set)))
-    perms = perms_of(aut, a_ids)
+    perms = perms_of(aut, a_set)
 
     seeds = {excluded_and_duplicate(aut, (b,)) for b in sigma1}
     arcs: set[Arc] = set(seeds)
@@ -299,14 +295,6 @@ class GrowthLemmaReport:
         raise KeyError(name)
 
 
-def arc_incidence_vector(p: int, q: int, n: int) -> tuple:
-    """Indicator difference char({p}) - char({q}) for 1-indexed states."""
-    out = [0] * n
-    out[p - 1] += 1
-    out[q - 1] -= 1
-    return tuple(out)
-
-
 def verify_growth_lemmas(
     aut: Automaton,
     a_set: Sequence[int] | None = None,
@@ -319,12 +307,9 @@ def verify_growth_lemmas(
     bug.  Checks whose hypothesis needs a transitive permutation set are
     reported n/a when it is not.
     """
-    from .linalg import orthogonal_complement, span_basis
-
-    a_ids = permutation_letters(aut) if a_set is None else tuple(sorted(set(a_set)))
-    perms = perms_of(aut, a_ids)
+    perms = perms_of(aut, a_set)
     if trace is None:
-        trace = gamma_growth(aut, a_ids)
+        trace = gamma_growth(aut, a_set)
     n = trace.n
     transitive = is_transitive(perms, n)
     checks: list[LemmaCheck] = []
@@ -352,7 +337,7 @@ def verify_growth_lemmas(
     previous: frozenset[Arc] = frozenset()
     for i, (level, deco) in enumerate(zip(trace.levels, trace.decompositions)):
         for p, q in sorted(level.arcs - previous):
-            basis = basis.extended(arc_incidence_vector(p, q, n))
+            basis = basis.extended(unit_difference(p, q, n))
         previous = level.arcs
         expected = n - len(deco.wccs)
         if basis.dim != expected:
@@ -426,14 +411,10 @@ def translen_k_bound(aut: Automaton, a_set: Sequence[int] | None = None, *, dim:
     """
     if any(d > 1 for d in aut.letter_defects):
         raise UnsupportedAlphabet("a letter of defect 2 or more is present")
-    a_ids = permutation_letters(aut) if a_set is None else tuple(sorted(set(a_set)))
-    perms = perms_of(aut, a_ids)
-    if not is_transitive(perms, aut.n):
+    if not is_transitive(perms_of(aut, a_set), aut.n):
         raise NotTransitive("bound requires a transitive permutation set")
     if dim is None:
-        from .cones import cone_sequence
-
-        dim = cone_sequence(aut, a_ids).span_dim
+        dim = cone_sequence(aut, a_set).span_dim
     n = aut.n
     if 2 * dim == n:
         return n

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .automaton import Automaton
-from .errors import CapExceeded, NotAPermutation
+from .errors import CapExceeded, InternalContradiction, NotAPermutation
 
 Perm = tuple[int, ...]
 
@@ -50,10 +50,21 @@ def permutation_letters(aut: Automaton) -> tuple[int, ...]:
     return tuple(a for a, d in enumerate(aut.letter_defects) if d == 0)
 
 
+def resolve_perm_set(
+    aut: Automaton, letters: Iterable[int] | None = None
+) -> tuple[tuple[int, ...], tuple[Perm, ...]]:
+    """Sorted distinct letter ids (default: all defect-0 letters) and their
+    permutations; rejects letters of positive defect."""
+    if letters is None:
+        ids = permutation_letters(aut)
+    else:
+        ids = tuple(sorted(set(letters)))
+    return ids, tuple(permutation_of_letter(aut, a) for a in ids)
+
+
 def perms_of(aut: Automaton, letters: Iterable[int] | None = None) -> tuple[Perm, ...]:
     """Materialize the given letters (default: all defect-0 letters) as permutations."""
-    ids = permutation_letters(aut) if letters is None else tuple(sorted(set(letters)))
-    return tuple(permutation_of_letter(aut, a) for a in ids)
+    return resolve_perm_set(aut, letters)[1]
 
 
 def orbit(perms: Iterable[Perm], n: int, start: int = 0) -> frozenset[int]:
@@ -158,7 +169,11 @@ def cayley_diameters(
 
     exact, order_a = bfs(list(gens), 1)
     prefix, order_b = bfs([identity(n)], 0)
-    assert order_a == order_b
+    if order_a != order_b:
+        raise InternalContradiction(
+            f"group order {order_a} from the generators differs from {order_b} "
+            "from the identity"
+        )
     return CayleyDiameters(exact_power=exact, prefix_closed=prefix, order=order_a)
 
 

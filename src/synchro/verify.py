@@ -9,11 +9,9 @@ sweep generated or enumerated instance batches and aggregate failures.
 from __future__ import annotations
 
 import itertools
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .automaton import (
     Automaton,
@@ -32,10 +30,10 @@ from .bounds import (
     synthesize_reset_word,
 )
 from .cones import (
-    _extension_candidates,
     cone_sequence,
     ell_all,
     escape_word_from_steps,
+    escaped_masks,
     k_vector,
     masked_sum,
     subset_sums,
@@ -49,7 +47,7 @@ from .growth import (
     verify_growth_lemmas,
 )
 from .linalg import in_cone, unit_difference
-from .permgroup import is_transitive, permutation_letters, perms_of
+from .permgroup import is_transitive, resolve_perm_set
 
 
 @dataclass(frozen=True)
@@ -80,26 +78,6 @@ class SuiteReport:
         return not self.failures
 
 
-def worker_count(requested: int | None = None) -> int:
-    """Worker threads for suite fan-out; SYNCHRO_THREADS overrides."""
-    if requested is not None:
-        return max(1, requested)
-    env = os.environ.get("SYNCHRO_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
-def _map(fn: Callable, items: Sequence, workers: int) -> list:
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # per-instance lemma audit
 
@@ -122,8 +100,7 @@ def lemma_suite(
     k_letters = len(aut.letters)
     size = 1 << n
     exhaustive = size <= subset_limit
-    a_ids = tuple(sorted(permutation_letters(aut) if a_set is None else set(a_set)))
-    perms = perms_of(aut, a_ids)
+    a_ids, perms = resolve_perm_set(aut, a_set)
     transitive = is_transitive(perms, n)
     sync = is_synchronizing(aut)
     connected = is_strongly_connected(aut)
@@ -222,12 +199,7 @@ def lemma_suite(
     # the limit cone is a subspace (generators negation-closed); without
     # that symmetry only the non-increasing direction holds
     if exhaustive:
-        escaped = bytearray(size)
-        for vec in vectors:
-            sums = subset_sums(vec, size)
-            for m in range(size):
-                if sums[m] > 0:
-                    escaped[m] = 1
+        escaped = escaped_masks(vectors, n)
         stable_ok = True
         stable_detail = ""
         for m in range(size):
@@ -252,29 +224,22 @@ def lemma_suite(
         escape_detail = ""
         extend_ok = True
         extend_detail = ""
-        candidates = _extension_candidates(cone)
         for mask in range(1, size - 1):
             if dist[mask] is None or dist[mask] > bound_codim:
                 escape_ok = False
                 escape_detail = f"subset {sorted(states_of(mask))}: escape {dist[mask]}"
                 break
             witness, escaped_mask = escape_word_from_steps(step, mask)
-            for kv in candidates:
-                if masked_sum(kv.vector, escaped_mask) > 0:
-                    word = kv.word + witness
-                    if len(word) > cone.trans_len_k + dist[mask] + 1:
-                        extend_ok = False
-                        extend_detail = f"subset {sorted(states_of(mask))}: length {len(word)}"
-                    elif (
-                        word_preimage_mask(aut, mask, word).bit_count()
-                        <= mask.bit_count()
-                    ):
-                        extend_ok = False
-                        extend_detail = f"subset {sorted(states_of(mask))}: no growth"
-                    break
-            else:
+            word = cone.extension_word(escaped_mask, witness)
+            if word is None:
                 extend_ok = False
                 extend_detail = f"subset {sorted(states_of(mask))}: no extending word"
+            elif len(word) > cone.trans_len_k + dist[mask] + 1:
+                extend_ok = False
+                extend_detail = f"subset {sorted(states_of(mask))}: length {len(word)}"
+            elif word_preimage_mask(aut, mask, word).bit_count() <= mask.bit_count():
+                extend_ok = False
+                extend_detail = f"subset {sorted(states_of(mask))}: no growth"
             if not extend_ok:
                 break
         add("escape_length_within_codimension", escape_ok, escape_detail)
@@ -356,12 +321,13 @@ def random_st_batch(
 # ---------------------------------------------------------------------------
 # suites
 
-def suite_cerny(n_max: int = 8, *, workers: int | None = None) -> SuiteReport:
+def suite_cerny(n_max: int = 8) -> SuiteReport:
     """Exact thresholds and bound tightness across the cycle-plus-merge family."""
     report = SuiteReport(suite="cerny", seed=None, params={"n_max": n_max})
-
-    def check(n: int) -> list[str]:
-        fails = []
+    fails = report.failures
+    sizes = list(range(2, n_max + 1))
+    for n in sizes:
+        report.checked += 1
         aut = cerny(n)
         square = (n - 1) ** 2
         rt, witness = reset_threshold_exact(aut)
@@ -372,19 +338,11 @@ def suite_cerny(n_max: int = 8, *, workers: int | None = None) -> SuiteReport:
         tight = bound_main(aut, (0,))
         if tight != square:
             fails.append(f"n={n}: dimension bound {tight} != {square}")
-        return fails
-
-    sizes = list(range(2, n_max + 1))
-    for fails in _map(check, sizes, worker_count(workers)):
-        report.checked += 1
-        report.failures.extend(fails)
     report.details["family_sizes"] = sizes
     return report
 
 
-def suite_enumerate(
-    n: int, letters: int = 2, *, cap: int | None = None, workers: int | None = None
-) -> SuiteReport:
+def suite_enumerate(n: int, letters: int = 2, *, cap: int | None = None) -> SuiteReport:
     """Exhaustive square-bound sweep over all n-state tables."""
     report = SuiteReport(
         suite="enumerate", seed=None, params={"n": n, "letters": letters}
@@ -413,7 +371,6 @@ def suite_bounds(
     seed: int = 0,
     *,
     group_cap: int = 20000,
-    workers: int | None = None,
 ) -> SuiteReport:
     """Soundness chain on random ST instances:
     exact threshold <= synthesized length <= dimension bound <= diameter bound,
@@ -424,10 +381,9 @@ def suite_bounds(
         params={"count": count, "ns": list(ns), "group_cap": group_cap},
     )
     instances = random_st_batch(count, ns, seed)
-
-    def check(item: tuple[str, Automaton]) -> list[str]:
-        label, aut = item
-        fails = []
+    fails = report.failures
+    for label, aut in instances:
+        report.checked += 1
         n = aut.n
         rt, _ = reset_threshold_exact(aut)
         result = synthesize_reset_word(aut)
@@ -449,11 +405,6 @@ def suite_bounds(
         d1 = bound_defect1(aut)
         if n >= 6 and result.length > d1:
             fails.append(f"{label}: synthesized {result.length} > defect-1 bound {d1}")
-        return fails
-
-    for fails in _map(check, instances, worker_count(workers)):
-        report.checked += 1
-        report.failures.extend(fails)
     report.details["instances"] = [label for label, _ in instances]
     return report
 
@@ -464,7 +415,6 @@ def suite_lemmas(
     seed: int = 0,
     *,
     exhaustive_n_max: int = 0,
-    workers: int | None = None,
 ) -> SuiteReport:
     """Per-instance lemma audit over random ST instances, optionally joined by
     every exhaustively enumerated 2-letter ST instance up to a given size."""
@@ -477,17 +427,11 @@ def suite_lemmas(
     for n in range(2, exhaustive_n_max + 1):
         for idx, aut in enumerate(exhaustive_st_instances(n)):
             instances.append((f"exhaustive-n{n}-{idx}", aut))
-
-    def check(item: tuple[str, Automaton]) -> tuple[str, InstanceChecks]:
-        label, aut = item
-        return label, lemma_suite(aut, label=label)
-
-    results = _map(check, instances, worker_count(workers))
     na_counts: dict[str, int] = {}
     check_count = 0
-    for label, inst in results:
+    for label, aut in instances:
         report.checked += 1
-        for c in inst.checks:
+        for c in lemma_suite(aut, label=label).checks:
             check_count += 1
             if c.status == "fail":
                 report.failures.append(f"{label}: {c.name} failed ({c.detail})")

@@ -13,7 +13,7 @@ from synchro.automaton import Automaton, reset_threshold_exact, word_image_mask
 from synchro.bounds import bound_main
 from synchro.cones import cone_sequence, preimage_matrix
 from synchro.generate import cerny
-from synchro.growth import arc_incidence_vector, gamma_growth
+from synchro.growth import gamma_growth
 from synchro.linalg import (
     in_cone,
     in_span,
@@ -156,7 +156,7 @@ def test_criterion_6_cone_reachability_cross_check():
     for label, aut in random_st_batch(40, (5, 6, 7, 8), SEED + 1):
         trace = gamma_growth(aut)
         for level, deco in zip(trace.levels, trace.decompositions):
-            vectors = [arc_incidence_vector(p, q, aut.n) for p, q in level.arcs]
+            vectors = [unit_difference(p, q, aut.n) for p, q in level.arcs]
             rank = span_basis(vectors, aut.n).dim
             levels_checked += 1
             if rank != aut.n - len(deco.wccs):

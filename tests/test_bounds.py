@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from synchro.automaton import Automaton, apply_word, reset_threshold_exact
+from synchro.automaton import Automaton, apply_word, is_synchronizing, reset_threshold_exact
 from synchro.bounds import (
     bound_defect1,
     bound_main,
@@ -107,6 +107,19 @@ class TestSynthesize:
         assert sizes[0] == 1
         assert all(a < b for a, b in zip(sizes, sizes[1:]))
         assert len(result.steps) <= c4.n - 1
+
+    def test_synchronization_checked_once(self, monkeypatch):
+        calls = []
+
+        def counting(aut):
+            calls.append(aut)
+            return is_synchronizing(aut)
+
+        monkeypatch.setattr("synchro.bounds.is_synchronizing", counting)
+        monkeypatch.setattr("synchro.cones.is_synchronizing", counting)
+        result = synthesize_reset_word(cerny(16))
+        assert len(result.steps) > 2
+        assert len(calls) == 1
 
     def test_guards(self):
         with pytest.raises(ValueError):

@@ -143,11 +143,6 @@ class TestVerifyCommand:
         assert code == 0
         assert report["ok"]
 
-    def test_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SYNCHRO_THREADS", "2")
-        code = main(["verify", "--suite", "cerny", "--n", "4"])
-        assert code == 0
-
 
 class TestGenerate:
     def test_cerny_round_trip(self, capsys):

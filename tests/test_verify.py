@@ -7,7 +7,6 @@ from synchro.verify import (
     suite_cerny,
     suite_enumerate,
     suite_lemmas,
-    worker_count,
 )
 
 
@@ -82,27 +81,3 @@ class TestSuites:
         assert report.ok, report.failures
         assert report.checked > 4
         assert report.details["total_checks"] > 0
-
-    def test_threaded_run_matches_serial(self):
-        serial = suite_bounds(count=4, ns=(5,), seed=9, workers=1)
-        threaded = suite_bounds(count=4, ns=(5,), seed=9, workers=4)
-        assert serial.failures == threaded.failures
-        assert serial.checked == threaded.checked
-
-
-class TestWorkerCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("SYNCHRO_THREADS", raising=False)
-        assert worker_count() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("SYNCHRO_THREADS", "3")
-        assert worker_count() == 3
-
-    def test_explicit_request_wins(self, monkeypatch):
-        monkeypatch.setenv("SYNCHRO_THREADS", "3")
-        assert worker_count(2) == 2
-
-    def test_garbage_env_ignored(self, monkeypatch):
-        monkeypatch.setenv("SYNCHRO_THREADS", "many")
-        assert worker_count() == 1
