@@ -6,6 +6,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import NotSynchronizing, ResourceCap
@@ -188,6 +189,25 @@ def word_preimage_mask(aut: Automaton, mask: int, word: Word) -> int:
     return mask
 
 
+def image_chunk_tables(aut: Automaton) -> list[list[list[int]]]:
+    """Per letter, per 8-bit chunk of a subset mask, the image mask of every
+    chunk value; the image of ``mask`` under letter ``a`` is the OR over
+    chunks ``c`` of ``tables[a][c][(mask >> 8 * c) & 0xFF]``.  A partial last
+    chunk gets a table of ``2 ** (n % 8)`` entries."""
+    tables = []
+    for row in aut.table:
+        letter_tables = []
+        for base in range(0, aut.n, 8):
+            bits = [1 << img for img in row[base:base + 8]]
+            tab = [0] * (1 << len(bits))
+            for value in range(1, len(tab)):
+                low = value & -value
+                tab[value] = tab[value ^ low] | bits[low.bit_length() - 1]
+            letter_tables.append(tab)
+        tables.append(letter_tables)
+    return tables
+
+
 def preimage_mask_table(aut: Automaton) -> list[list[int]]:
     """Per letter, the preimage mask of every subset mask; O(k * 2^n) total."""
     size = 1 << aut.n
@@ -301,11 +321,15 @@ def is_synchronizing(aut: Automaton) -> bool:
 def reset_threshold_exact(aut: Automaton, cap: int = DEFAULT_SUBSET_CAP) -> tuple[int, Word]:
     """Exact reset threshold with a shortest witness word.
 
-    Breadth-first search on the subset lattice, starting from the full state
-    set and applying letters forward, guarantees the first singleton reached
-    sits at minimum depth.  Ties among shortest words are broken by letter
-    order, so the witness is deterministic for a given automaton.  Memory is
-    bounded by ``cap`` visited subsets.
+    Breadth-first search on the subset lattice, level by level, starting from
+    the full state set and applying letters forward, so the first singleton
+    reached sits at minimum depth.  Each level's images come from
+    ``image_chunk_tables``, one list per letter; they are then scanned in
+    (subset, letter) order, subsets in the order they were discovered and
+    letters in alphabet order, and each new subset keeps its first
+    discoverer.  So ties among shortest words are broken by letter order and
+    the witness is deterministic for a given automaton.  Memory is bounded
+    by ``cap`` visited subsets.
     """
     if not is_synchronizing(aut):
         raise NotSynchronizing("automaton admits no reset word")
@@ -313,25 +337,40 @@ def reset_threshold_exact(aut: Automaton, cap: int = DEFAULT_SUBSET_CAP) -> tupl
     if full.bit_count() == 1:
         return 0, EPSILON
     k = len(aut.letters)
-    parents: dict[int, tuple[int, int]] = {full: (-1, 0)}
-    queue = deque([full])
-    while queue:
-        mask = queue.popleft()
-        for a in range(k):
-            nxt = image_mask(aut, mask, a)
-            if nxt in parents:
-                continue
-            parents[nxt] = (a, mask)
-            if nxt.bit_count() == 1:
-                word = []
-                cur = nxt
-                while cur != full:
-                    a_, prev = parents[cur]
-                    word.append(a_)
-                    cur = prev
-                word.reverse()
-                return len(word), tuple(word)
-            if len(parents) > cap:
-                raise ResourceCap(f"subset frontier exceeded cap of {cap} subsets")
-            queue.append(nxt)
+    tables = image_chunk_tables(aut)
+    shifts = range(0, aut.n, 8)
+    # parents[mask] = prev * k + a: ``mask`` was first reached as prev.a.
+    parents: dict[int, int] = {full: -1}
+    frontier = [full]
+    depth = 0
+    while frontier:
+        depth += 1
+        chunks = [[(mask >> s) & 0xFF for mask in frontier] for s in shifts]
+        images = []
+        for letter_tables in tables:
+            img = list(map(letter_tables[0].__getitem__, chunks[0]))
+            for tab, vals in zip(letter_tables[1:], chunks[1:]):
+                img = list(map(or_, img, map(tab.__getitem__, vals)))
+            images.append(img)
+        level = []
+        for prev, row in zip(frontier, zip(*images)):
+            code = prev * k
+            for a, nxt in enumerate(row):
+                if nxt in parents:
+                    continue
+                parents[nxt] = code + a
+                if nxt & (nxt - 1) == 0:
+                    word = []
+                    while nxt != full:
+                        nxt, a = divmod(parents[nxt], k)
+                        word.append(a)
+                    word.reverse()
+                    return depth, tuple(word)
+                if len(parents) > cap:
+                    raise ResourceCap(
+                        f"subset search visited {len(parents)} subsets, over the cap "
+                        f"of {cap}, and reached depth {depth} without a singleton"
+                    )
+                level.append(nxt)
+        frontier = level
     raise NotSynchronizing("automaton admits no reset word")  # pragma: no cover

@@ -31,6 +31,17 @@ from .permgroup import DEFAULT_GROUP_CAP, permutation_letters, perms_of
 from .verify import suite_bounds, suite_cerny, suite_enumerate, suite_lemmas
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for caps and counts: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     parser.add_argument(
@@ -45,14 +56,14 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--subset-cap",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_SUBSET_CAP,
         metavar="INT",
         help="visited-subset cap for exact threshold search",
     )
     parser.add_argument(
         "--group-cap",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_GROUP_CAP,
         metavar="INT",
         help="group enumeration cap for diameter-based bounds",
@@ -89,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=None, help="state count")
     p_verify.add_argument("--letters", type=int, default=2, help="letter count (enumerate)")
     p_verify.add_argument(
-        "--seed-count", type=int, default=20, help="random instances (lemmas, bounds)"
+        "--seed-count", type=_positive_int, default=20, help="random instances (lemmas, bounds)"
     )
     _common_flags(p_verify)
 
@@ -310,7 +321,7 @@ def cmd_rt(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite == "cerny":
-        suite = suite_cerny(args.n or 8)
+        suite = suite_cerny(8 if args.n is None else args.n)
     elif args.suite == "enumerate":
         if args.n is None:
             raise ValueError("--n is required for the enumerate suite")

@@ -26,7 +26,7 @@ class NotTransitive(SynchroError):
 
 
 class ResourceCap(SynchroError):
-    """A configured search cap (subset frontier, enumeration size) was hit."""
+    """A configured search cap (visited subsets, enumeration size) was hit."""
 
     exit_code = 5
 

@@ -323,6 +323,8 @@ def random_st_batch(
 
 def suite_cerny(n_max: int = 8) -> SuiteReport:
     """Exact thresholds and bound tightness across the cycle-plus-merge family."""
+    if n_max < 2:
+        raise ValueError("need at least 2 states")
     report = SuiteReport(suite="cerny", seed=None, params={"n_max": n_max})
     fails = report.failures
     sizes = list(range(2, n_max + 1))

@@ -113,7 +113,29 @@ class TestRt:
         assert code == ResourceCap.exit_code
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rt", "{c4}", "--subset-cap", "-5"],
+            ["analyze", "{c4}", "--group-cap", "0"],
+            ["verify", "--suite", "bounds", "--seed-count", "-3"],
+        ],
+        ids=["subset-cap", "group-cap", "seed-count"],
+    )
+    def test_cap_or_count_below_one_rejected(self, capsys, c4_file, argv):
+        with pytest.raises(SystemExit) as info:
+            main([arg.format(c4=c4_file) for arg in argv])
+        assert info.value.code == 2
+        assert "expected an integer >= 1" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
+    def test_cerny_suite_needs_two_states(self, capsys):
+        code = main(["verify", "--suite", "cerny", "--n", "1"])
+        assert code == 1
+        assert "need at least 2 states" in capsys.readouterr().err
+
     def test_cerny_suite(self, capsys):
         code, report = run_json(capsys, ["verify", "--suite", "cerny", "--n", "6", "--json"])
         assert code == 0
