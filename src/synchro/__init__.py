@@ -34,7 +34,6 @@ from .cones import (
     cone_sequence,
     ell,
     extend_subset,
-    k_limit_subspace,
     k_vector,
     preimage_matrix,
 )
@@ -79,7 +78,6 @@ from .linalg import (
 )
 from .permgroup import (
     CayleyDiameters,
-    cayley_diameter,
     cayley_diameters,
     group_closure,
     is_transitive,

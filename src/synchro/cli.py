@@ -27,7 +27,7 @@ from .errors import NotSynchronizing, SynchroError
 from .fileformat import emit_automaton, parse_automaton
 from .generate import cerny, random_st
 from .growth import GrowthTrace, gamma_growth
-from .permgroup import DEFAULT_GROUP_CAP, permutation_letters, perms_of
+from .permgroup import DEFAULT_GROUP_CAP, resolve_perm_set
 from .verify import suite_bounds, suite_cerny, suite_enumerate, suite_lemmas
 
 
@@ -42,33 +42,36 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument(
-        "--perm-set",
+_FLAGS = {
+    "--json": dict(action="store_true", help="emit a JSON report"),
+    "--perm-set": dict(
         metavar="NAMES",
         help="comma-separated permutation letter names (default: all defect-0 letters)",
-    )
-    parser.add_argument(
-        "--exact",
+    ),
+    "--exact": dict(
         action="store_true",
         help="also compute the exact reset threshold (subset search)",
-    )
-    parser.add_argument(
-        "--subset-cap",
+    ),
+    "--subset-cap": dict(
         type=_positive_int,
         default=DEFAULT_SUBSET_CAP,
         metavar="INT",
         help="visited-subset cap for exact threshold search",
-    )
-    parser.add_argument(
-        "--group-cap",
+    ),
+    "--group-cap": dict(
         type=_positive_int,
         default=DEFAULT_GROUP_CAP,
         metavar="INT",
         help="group enumeration cap for diameter-based bounds",
-    )
-    parser.add_argument("--seed", type=int, default=0, metavar="INT", help="random seed")
+    ),
+    "--seed": dict(type=int, default=0, metavar="INT", help="random seed"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Give one subcommand the shared flags it reads, and no others."""
+    for name in names:
+        parser.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,15 +84,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="full structural and bound analysis")
     p_analyze.add_argument("file", help="automaton file")
-    _common_flags(p_analyze)
+    _add_flags(p_analyze, "--json", "--perm-set", "--exact", "--subset-cap", "--group-cap")
 
     p_synth = sub.add_parser("synthesize", help="construct a certified reset word")
     p_synth.add_argument("file", help="automaton file")
-    _common_flags(p_synth)
+    _add_flags(p_synth, "--json", "--perm-set")
 
     p_rt = sub.add_parser("rt", help="exact reset threshold with witness")
     p_rt.add_argument("file", help="automaton file")
-    _common_flags(p_rt)
+    _add_flags(p_rt, "--json", "--subset-cap")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument(
@@ -102,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--seed-count", type=_positive_int, default=20, help="random instances (lemmas, bounds)"
     )
-    _common_flags(p_verify)
+    _add_flags(p_verify, "--json", "--seed")
 
     p_gen = sub.add_parser("generate", help="emit an automaton file")
     p_gen.add_argument("kind", choices=("cerny", "random-st"))
@@ -110,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--perm-letters", type=int, default=1)
     p_gen.add_argument("--defect1-letters", type=int, default=1)
     p_gen.add_argument("-o", "--out", help="output path (default: stdout)")
-    _common_flags(p_gen)
+    _add_flags(p_gen, "--seed")
 
     return parser
 
@@ -122,10 +125,8 @@ def _read_automaton(path: str) -> Automaton:
 
 def _resolve_perm_set(aut: Automaton, names: str | None) -> tuple[int, ...]:
     if names is None:
-        return permutation_letters(aut)
-    ids = tuple(sorted(aut.letter_index(name.strip()) for name in names.split(",")))
-    perms_of(aut, ids)  # raises NotAPermutation on a deficient letter
-    return ids
+        return resolve_perm_set(aut)[0]
+    return resolve_perm_set(aut, [aut.letter_index(nm.strip()) for nm in names.split(",")])[0]
 
 
 def _automaton_dict(aut: Automaton) -> dict:
@@ -142,7 +143,7 @@ def _cone_dict(cone: ConeReport, aut: Automaton) -> dict:
         "trans_len_k": cone.trans_len_k,
         "is_subspace": cone.is_subspace,
         "dim": cone.span_dim,
-        "polar_dim": cone.polar_basis.dim,
+        "polar_dim": cone.n - cone.span_dim,
         "limit_generator_count": len(cone.limit_generators),
         "deficient_letters": [aut.letters[a] for a in cone.deficient],
     }
@@ -326,12 +327,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.n is None:
             raise ValueError("--n is required for the enumerate suite")
         suite = suite_enumerate(args.n, args.letters)
-    elif args.suite == "bounds":
-        ns = (args.n,) if args.n else (5, 6, 7, 8, 9, 10)
-        suite = suite_bounds(args.seed_count, ns, args.seed)
     else:
-        ns = (args.n,) if args.n else (5, 6, 7, 8, 9, 10)
-        suite = suite_lemmas(args.seed_count, ns, args.seed)
+        ns = (5, 6, 7, 8, 9, 10) if args.n is None else (args.n,)
+        run = suite_bounds if args.suite == "bounds" else suite_lemmas
+        suite = run(args.seed_count, ns, args.seed)
     report = {
         "command": "verify",
         "suite": suite.suite,

@@ -40,7 +40,6 @@ from .linalg import (
     Vector,
     char_vector_of_mask,
     in_cone,
-    orthogonal_complement,
     span_basis,
 )
 from .permgroup import Perm, is_transitive, resolve_perm_set
@@ -114,9 +113,9 @@ class ConeReport:
 
     ``tiers[i]`` is the full generator set after i permutation shifts, so the
     last tier is the limit set.  ``limit_span`` is the span of the limit
-    generators with ``polar_basis`` its orthogonal complement; when
-    ``is_subspace`` is true (transitive permutation group) the limit cone
-    equals that span and ``polar_basis`` is exactly its polar cone.
+    generators; when ``is_subspace`` is true (transitive permutation group)
+    the limit cone equals that span, so its polar cone is the orthogonal
+    complement, of dimension ``n - span_dim``.
     """
 
     n: int
@@ -129,17 +128,10 @@ class ConeReport:
     is_subspace: bool
     span_dim: int
     limit_span: SubspaceBasis
-    polar_basis: SubspaceBasis
 
     @property
     def limit_vectors(self) -> tuple[Vector, ...]:
         return tuple(kv.vector for kv in self.limit_generators)
-
-    def dim_limit_cone(self) -> int:
-        """Dimension of the limit cone; defined when it is a subspace."""
-        if not self.is_subspace:
-            raise NotTransitive("limit cone is only known to be a subspace for transitive sets")
-        return self.span_dim
 
     @cached_property
     def extension_candidates(self) -> tuple[KVector, ...]:
@@ -217,16 +209,7 @@ def cone_sequence(aut: Automaton, a_set: Sequence[int] | None = None) -> ConeRep
         is_subspace=is_transitive(perms, aut.n),
         span_dim=limit_span.dim,
         limit_span=limit_span,
-        polar_basis=orthogonal_complement(limit_span, aut.n),
     )
-
-
-def k_limit_subspace(aut: Automaton, a_set: Sequence[int] | None = None) -> SubspaceBasis:
-    """Echelon basis of the limit cone, which is a subspace for transitive sets."""
-    report = cone_sequence(aut, a_set)
-    if not report.is_subspace:
-        raise NotTransitive("permutation letters do not generate a transitive group")
-    return report.limit_span
 
 
 def _escapes_polar(vectors: Sequence[Vector], mask: int) -> bool:

@@ -10,7 +10,7 @@ bounds the cone transient length computed in :mod:`synchro.cones`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .automaton import Automaton, Word, letters_of_defect
@@ -280,13 +280,26 @@ class LemmaCheck:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class GrowthLemmaReport:
-    checks: tuple[LemmaCheck, ...]
+@dataclass
+class LemmaReport:
+    """The lemma checks run on one instance, in the order they ran."""
+
+    label: str = ""
+    checks: list[LemmaCheck] = field(default_factory=list)
+
+    def add(self, name: str, ok: bool, detail: str = "") -> None:
+        self.checks.append(LemmaCheck(name, "pass" if ok else "fail", detail))
+
+    def add_na(self, name: str, why: str) -> None:
+        self.checks.append(LemmaCheck(name, "n/a", why))
 
     @property
     def ok(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
+        return not self.failures
+
+    @property
+    def failures(self) -> tuple[LemmaCheck, ...]:
+        return tuple(c for c in self.checks if c.status == "fail")
 
     def by_name(self, name: str) -> LemmaCheck:
         for c in self.checks:
@@ -300,7 +313,7 @@ def verify_growth_lemmas(
     a_set: Sequence[int] | None = None,
     *,
     trace: GrowthTrace | None = None,
-) -> GrowthLemmaReport:
+) -> LemmaReport:
     """Run every growth-structure theorem as an executable check.
 
     All of these are proved facts, so any failure indicates an implementation
@@ -312,13 +325,7 @@ def verify_growth_lemmas(
         trace = gamma_growth(aut, a_set)
     n = trace.n
     transitive = is_transitive(perms, n)
-    checks: list[LemmaCheck] = []
-
-    def add(name: str, ok: bool, detail: str = "") -> None:
-        checks.append(LemmaCheck(name, "pass" if ok else "fail", detail))
-
-    def add_na(name: str, why: str) -> None:
-        checks.append(LemmaCheck(name, "n/a", why))
+    report = LemmaReport()
 
     shift_ok = True
     shift_detail = ""
@@ -329,7 +336,7 @@ def verify_growth_lemmas(
                 if shift_arc(arc, perm) not in nxt:
                     shift_ok = False
                     shift_detail = f"arc {arc} shifted out of level {i + 1}"
-    add("arc_shift_closure", shift_ok, shift_detail)
+    report.add("arc_shift_closure", shift_ok, shift_detail)
 
     rank_ok = True
     rank_detail = ""
@@ -350,7 +357,7 @@ def verify_growth_lemmas(
             rank_ok = False
             rank_detail = f"level {i}: complement differs from component span"
             break
-    add("incidence_rank_matches_weak_components", rank_ok, rank_detail)
+    report.add("incidence_rank_matches_weak_components", rank_ok, rank_detail)
 
     if not transitive:
         why = "permutation set not transitive"
@@ -361,17 +368,17 @@ def verify_growth_lemmas(
             "strong_stable_by_n_when_many_components",
             "strong_stable_late_when_few_components",
         ):
-            add_na(name, why)
-        return GrowthLemmaReport(tuple(checks))
+            report.add_na(name, why)
+        return report
 
     limit_deco = trace.limit_decomposition
     d = trace.d
-    add(
+    report.add(
         "weak_equals_strong_at_limit",
         limit_deco.wcc_partition == limit_deco.scc_partition,
         f"{len(limit_deco.wccs)} weak vs {len(limit_deco.sccs)} strong",
     )
-    add(
+    report.add(
         "weak_components_stable_early",
         trace.decomposition_at(n - d - 1).wcc_partition == limit_deco.wcc_partition,
         f"checked at level {n - d - 1}",
@@ -379,27 +386,27 @@ def verify_growth_lemmas(
     early = trace.at(n - 1)
     heads = {q for _, q in early.arcs}
     tails = {p for p, _ in early.arcs}
-    add(
+    report.add(
         "every_vertex_covered_early",
         all(v in heads and v in tails for v in range(1, n + 1)),
         f"level {n - 1}",
     )
     if 3 * d > n:
-        add(
+        report.add(
             "strong_stable_by_n_when_many_components",
             trace.decomposition_at(n).scc_partition == limit_deco.scc_partition,
             f"d={d}",
         )
-        add_na("strong_stable_late_when_few_components", f"d={d} > n/3")
+        report.add_na("strong_stable_late_when_few_components", f"d={d} > n/3")
     else:
-        add_na("strong_stable_by_n_when_many_components", f"d={d} <= n/3")
+        report.add_na("strong_stable_by_n_when_many_components", f"d={d} <= n/3")
         idx = 2 * n - 3 * d - 1
-        add(
+        report.add(
             "strong_stable_late_when_few_components",
             trace.decomposition_at(idx).scc_partition == limit_deco.scc_partition,
             f"checked at level {idx}, d={d}",
         )
-    return GrowthLemmaReport(tuple(checks))
+    return report
 
 
 def translen_k_bound(aut: Automaton, a_set: Sequence[int] | None = None, *, dim: int | None = None) -> int:

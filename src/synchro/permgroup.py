@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .automaton import Automaton
-from .errors import CapExceeded, InternalContradiction, NotAPermutation
+from .errors import CapExceeded, NotAPermutation
 
 Perm = tuple[int, ...]
 
@@ -36,7 +36,7 @@ def is_permutation(images: Sequence[int]) -> bool:
 
 def permutation_of_letter(aut: Automaton, letter: int) -> Perm:
     """The bijection q -> q.letter; rejects letters of positive defect."""
-    aut._check_letter(letter)
+    aut.validate_word((letter,))
     row = aut.table[letter]
     if not is_permutation(row):
         raise NotAPermutation(
@@ -141,42 +141,35 @@ class CayleyDiameters:
 def cayley_diameters(
     perms: Sequence[Perm], n: int, cap: int = DEFAULT_GROUP_CAP
 ) -> CayleyDiameters:
+    """One BFS from the identity gives both readings.
+
+    The largest BFS distance is ``prefix_closed``.  Every element other than
+    the identity needs a non-empty word anyway, so its distance also counts
+    for ``exact_power``; the identity's shortest non-empty word is a shortest
+    word for h^-1 followed by h, for the generator h whose inverse is nearest.
+    """
     if not perms:
         raise ValueError("empty generating set has no diameter")
     gens = tuple(dict.fromkeys(perms))
-
-    def bfs(sources: list[Perm], start_level: int) -> tuple[int, int]:
-        level = {g: start_level for g in sources}
-        frontier = list(level)
-        depth = start_level
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for h in gens:
-                    gh = compose(g, h)
-                    if gh not in level:
-                        level[gh] = level[g] + 1
-                        if len(level) > cap:
-                            raise CapExceeded(
-                                f"group order exceeds cap {cap}",
-                                partial_count=len(level),
-                            )
-                        nxt.append(gh)
-            frontier = nxt
-            if frontier:
-                depth += 1
-        return depth, len(level)
-
-    exact, order_a = bfs(list(gens), 1)
-    prefix, order_b = bfs([identity(n)], 0)
-    if order_a != order_b:
-        raise InternalContradiction(
-            f"group order {order_a} from the generators differs from {order_b} "
-            "from the identity"
-        )
-    return CayleyDiameters(exact_power=exact, prefix_closed=prefix, order=order_a)
-
-
-def cayley_diameter(perms: Sequence[Perm], n: int, cap: int = DEFAULT_GROUP_CAP) -> int:
-    """The exact-power reading used by the Rystsov-style bound."""
-    return cayley_diameters(perms, n, cap).exact_power
+    dist = {identity(n): 0}
+    frontier = list(dist)
+    depth = 0
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in gens:
+                gh = compose(g, h)
+                if gh not in dist:
+                    dist[gh] = depth + 1
+                    if len(dist) > cap:
+                        raise CapExceeded(
+                            f"group order exceeds cap {cap}", partial_count=len(dist)
+                        )
+                    nxt.append(gh)
+        frontier = nxt
+        if frontier:
+            depth += 1
+    identity_word = 1 + min(dist[inverse(h)] for h in gens)
+    return CayleyDiameters(
+        exact_power=max(depth, identity_word), prefix_closed=depth, order=len(dist)
+    )

@@ -33,7 +33,6 @@ from .cones import (
     cone_sequence,
     ell_all,
     escape_word_from_steps,
-    escaped_masks,
     k_vector,
     masked_sum,
     subset_sums,
@@ -41,27 +40,13 @@ from .cones import (
 from .errors import CapExceeded
 from .generate import cerny, enumerate_automata, exhaustive_st_instances, random_st
 from .growth import (
-    LemmaCheck,
+    LemmaReport,
     gamma_growth,
     translen_k_bound,
     verify_growth_lemmas,
 )
 from .linalg import in_cone, unit_difference
 from .permgroup import is_transitive, resolve_perm_set
-
-
-@dataclass(frozen=True)
-class InstanceChecks:
-    label: str
-    checks: tuple[LemmaCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
-
-    @property
-    def failures(self) -> tuple[LemmaCheck, ...]:
-        return tuple(c for c in self.checks if c.status == "fail")
 
 
 @dataclass
@@ -89,7 +74,7 @@ def lemma_suite(
     subset_limit: int = 1 << 14,
     sample_size: int = 2048,
     label: str = "",
-) -> InstanceChecks:
+) -> LemmaReport:
     """Audit one automaton against every executable lemma that applies.
 
     Subset-quantified checks run exhaustively while 2^n stays within
@@ -108,13 +93,7 @@ def lemma_suite(
     has_deficient = any(d > 0 for d in defects)
     defect_at_most_1 = all(d <= 1 for d in defects)
     has_defect_1 = any(d == 1 for d in defects)
-    checks: list[LemmaCheck] = []
-
-    def add(name: str, ok: bool, detail: str = "") -> None:
-        checks.append(LemmaCheck(name, "pass" if ok else "fail", detail))
-
-    def add_na(name: str, why: str) -> None:
-        checks.append(LemmaCheck(name, "n/a", why))
+    report = LemmaReport(label or f"n{n}")
 
     rng = random.Random(0x5EED ^ (n << 16) ^ k_letters)
     if exhaustive:
@@ -156,20 +135,20 @@ def lemma_suite(
                     break
         if not identity_ok:
             break
-    add("preimage_growth_identity", identity_ok, identity_detail)
+    report.add("preimage_growth_identity", identity_ok, identity_detail)
 
     if not has_deficient:
-        add_na("limit_generators_sum_zero", "no deficient letter")
-        return InstanceChecks(label or f"n{n}", tuple(checks))
+        report.add_na("limit_generators_sum_zero", "no deficient letter")
+        return report
 
     cone = cone_sequence(aut, a_ids)
     vectors = cone.limit_vectors
-    add(
+    report.add(
         "limit_generators_sum_zero",
         all(sum(v) == 0 for v in vectors),
         "",
     )
-    add(
+    report.add(
         "t_transient_at_least_k_transient",
         cone.trans_len_t >= cone.trans_len_k,
         f"T {cone.trans_len_t} vs K {cone.trans_len_k}",
@@ -184,26 +163,27 @@ def lemma_suite(
     if cert_ok and j > 0:
         tier_prev = cone.tiers[j - 1]
         cert_ok = any(not in_cone(v, list(tier_prev)) for v in cone.tiers[j] - tier_prev)
-    add("k_transient_certificate", cert_ok, f"index {j}")
+    report.add("k_transient_certificate", cert_ok, f"index {j}")
 
     if transitive:
-        add(
+        report.add(
             "negation_closure_of_limit_cone",
             all(in_cone(tuple(-x for x in v), vectors) for v in vectors),
             "",
         )
     else:
-        add_na("negation_closure_of_limit_cone", "permutation set not transitive")
+        report.add_na("negation_closure_of_limit_cone", "permutation set not transitive")
 
     # polar membership forces letter preimages to keep the cardinality when
     # the limit cone is a subspace (generators negation-closed); without
-    # that symmetry only the non-increasing direction holds
+    # that symmetry only the non-increasing direction holds.  Escape distance
+    # 0 is exactly "outside the polar cone".
     if exhaustive:
-        escaped = escaped_masks(vectors, n)
+        dist, step = ell_all(aut, vectors)
         stable_ok = True
         stable_detail = ""
         for m in range(size):
-            if escaped[m]:
+            if dist[m] == 0:
                 continue
             for tab in pre_tabs:
                 delta = pc[tab[m]] - pc[m]
@@ -213,12 +193,13 @@ def lemma_suite(
                     break
             if not stable_ok:
                 break
-        add("polar_members_have_stable_preimages", stable_ok, stable_detail)
+        report.add("polar_members_have_stable_preimages", stable_ok, stable_detail)
     else:
-        add_na("polar_members_have_stable_preimages", "state set too large for exhaustive sweep")
+        report.add_na(
+            "polar_members_have_stable_preimages", "state set too large for exhaustive sweep"
+        )
 
     if sync and connected and transitive and exhaustive:
-        dist, step = ell_all(aut, vectors)
         bound_codim = n - 1 - cone.span_dim
         escape_ok = True
         escape_detail = ""
@@ -242,20 +223,20 @@ def lemma_suite(
                 extend_detail = f"subset {sorted(states_of(mask))}: no growth"
             if not extend_ok:
                 break
-        add("escape_length_within_codimension", escape_ok, escape_detail)
-        add("extension_length_within_cone_bound", extend_ok, extend_detail)
+        report.add("escape_length_within_codimension", escape_ok, escape_detail)
+        report.add("extension_length_within_cone_bound", extend_ok, extend_detail)
     else:
         why = (
             "needs synchronizing, strongly connected, transitive, exhaustive"
             f" (sync={sync}, connected={connected}, transitive={transitive})"
         )
-        add_na("escape_length_within_codimension", why)
-        add_na("extension_length_within_cone_bound", why)
+        report.add_na("escape_length_within_codimension", why)
+        report.add_na("extension_length_within_cone_bound", why)
 
     if has_defect_1:
         trace = gamma_growth(aut, a_ids)
         growth_report = verify_growth_lemmas(aut, a_ids, trace=trace)
-        checks.extend(growth_report.checks)
+        report.checks.extend(growth_report.checks)
         if defect_at_most_1:
             bridge_ok = len(cone.tiers) == len(trace.levels)
             bridge_detail = ""
@@ -272,31 +253,31 @@ def lemma_suite(
                 bridge_detail = (
                     f"tier count {len(cone.tiers)} vs levels {len(trace.levels)}"
                 )
-            add("cone_digraph_bridge", bridge_ok, bridge_detail)
-            add(
+            report.add("cone_digraph_bridge", bridge_ok, bridge_detail)
+            report.add(
                 "limit_dim_matches_components",
                 cone.span_dim == n - len(trace.limit_decomposition.wccs),
                 f"dim {cone.span_dim}, weak components {len(trace.limit_decomposition.wccs)}",
             )
             if transitive:
                 bound39 = translen_k_bound(aut, a_ids, dim=cone.span_dim)
-                add(
+                report.add(
                     "k_transient_within_digraph_bound",
                     cone.trans_len_k <= bound39,
                     f"transient {cone.trans_len_k}, bound {bound39}",
                 )
             else:
-                add_na("k_transient_within_digraph_bound", "not transitive")
+                report.add_na("k_transient_within_digraph_bound", "not transitive")
         else:
             for name in ("cone_digraph_bridge", "limit_dim_matches_components",
                          "k_transient_within_digraph_bound"):
-                add_na(name, "letters of defect 2 or more present")
+                report.add_na(name, "letters of defect 2 or more present")
     else:
         for name in ("cone_digraph_bridge", "limit_dim_matches_components",
                      "k_transient_within_digraph_bound"):
-            add_na(name, "no defect-1 letter")
+            report.add_na(name, "no defect-1 letter")
 
-    return InstanceChecks(label or f"n{n}", tuple(checks))
+    return report
 
 
 # ---------------------------------------------------------------------------

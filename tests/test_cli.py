@@ -66,6 +66,12 @@ class TestAnalyze:
         assert code == NotSynchronizing.exit_code
         assert "NotSynchronizing" in err
 
+    def test_repeated_perm_set_name_reported_once(self, capsys, c4_file):
+        code, report = run_json(capsys, ["analyze", c4_file, "--json", "--perm-set", "a,a"])
+        assert code == 0
+        assert report["perm_set"] == ["a"]
+        assert report["bounds"]["perm_set"] == ["a"]
+
     def test_deficient_perm_set_rejected(self, capsys, c4_file):
         code = main(["analyze", c4_file, "--perm-set", "b"])
         err = capsys.readouterr().err
@@ -129,10 +135,52 @@ class TestUsageErrors:
         assert info.value.code == 2
         assert "expected an integer >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "cerny", "--n", "3", "--json"],
+            ["generate", "cerny", "--n", "3", "--exact"],
+            ["generate", "cerny", "--n", "3", "--group-cap", "1"],
+            ["verify", "--suite", "bounds", "--group-cap", "1"],
+            ["verify", "--suite", "bounds", "--perm-set", "zz"],
+            ["verify", "--suite", "lemmas", "--subset-cap", "5"],
+            ["synthesize", "{c4}", "--exact"],
+            ["synthesize", "{c4}", "--seed", "1"],
+            ["rt", "{c4}", "--perm-set", "a"],
+            ["rt", "{c4}", "--group-cap", "5"],
+            ["analyze", "{c4}", "--seed", "1"],
+        ],
+        ids=[
+            "generate-json",
+            "generate-exact",
+            "generate-group-cap",
+            "verify-group-cap",
+            "verify-perm-set",
+            "verify-subset-cap",
+            "synthesize-exact",
+            "synthesize-seed",
+            "rt-perm-set",
+            "rt-group-cap",
+            "analyze-seed",
+        ],
+    )
+    def test_flag_a_subcommand_does_not_read_is_rejected(self, capsys, c4_file, argv):
+        with pytest.raises(SystemExit) as info:
+            main([arg.format(c4=c4_file) for arg in argv])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_cerny_suite_needs_two_states(self, capsys):
         code = main(["verify", "--suite", "cerny", "--n", "1"])
+        assert code == 1
+        assert "need at least 2 states" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["bounds", "lemmas"])
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_random_suites_need_two_states(self, capsys, suite, n):
+        code = main(["verify", "--suite", suite, "--n", n, "--seed-count", "1"])
         assert code == 1
         assert "need at least 2 states" in capsys.readouterr().err
 

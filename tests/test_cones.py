@@ -9,8 +9,8 @@ from synchro.cones import (
     ell,
     ell_all,
     escape_word_from_steps,
+    escaped_masks,
     extend_subset,
-    k_limit_subspace,
     k_vector,
     preimage_matrix,
     shift_vector,
@@ -19,7 +19,6 @@ from synchro.errors import (
     NoDeficientLetters,
     NotStronglyConnected,
     NotSynchronizing,
-    NotTransitive,
 )
 from synchro.generate import cerny
 from synchro.linalg import (
@@ -188,19 +187,20 @@ class TestConeSequence:
 
 class TestLimitSubspace:
     def test_family_limit_is_sum_zero(self, c4):
-        basis = k_limit_subspace(c4, (0,))
+        cone = cone_sequence(c4, (0,))
+        assert cone.is_subspace
+        basis = cone.limit_span
         assert basis == span_basis(
             [(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1)], 4
         )
 
     def test_two_state_swap_and_merge(self):
         aut = cerny(2)
-        assert k_limit_subspace(aut, (0,)).dim == 1
+        assert cone_sequence(aut, (0,)).limit_span.dim == 1
 
-    def test_nontransitive_rejected(self):
+    def test_nontransitive_is_not_a_subspace(self):
         aut = Automaton(("a", "b"), ((0, 1, 3, 2), (0, 0, 2, 3)))
-        with pytest.raises(NotTransitive):
-            k_limit_subspace(aut, (0,))
+        assert not cone_sequence(aut, (0,)).is_subspace
 
     def test_negation_closure(self, c4):
         cone = cone_sequence(c4, (0,))
@@ -272,6 +272,8 @@ class TestEscapeLength:
             assert dist[mask] == got
             _, escaped_mask = escape_word_from_steps(step, mask)
             assert dist[escaped_mask] == 0
+        escaped = escaped_masks(cone.limit_vectors, c4.n)
+        assert [d == 0 for d in dist] == [bool(e) for e in escaped]
 
 
 class TestSubspaceEscape:

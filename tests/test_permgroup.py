@@ -5,7 +5,6 @@ import pytest
 from synchro.automaton import Automaton
 from synchro.errors import CapExceeded, NotAPermutation
 from synchro.permgroup import (
-    cayley_diameter,
     cayley_diameters,
     compose,
     group_closure,
@@ -46,6 +45,51 @@ def cumulative_power_diameters(gens, n):
         d += 1
         prefix = d
     return exact, prefix
+
+
+def two_bfs_diameters(gens, n, cap):
+    """Reference: the former two-traversal ``cayley_diameters``.  One BFS
+    starts from the generators at level 1 (exact power), the other from the
+    identity at level 0 (prefix-closed); returns (exact, prefix, order)."""
+    gens = tuple(dict.fromkeys(gens))
+
+    def bfs(sources, start_level):
+        level = {g: start_level for g in sources}
+        frontier = list(level)
+        depth = start_level
+        while frontier:
+            nxt = []
+            for g in frontier:
+                for h in gens:
+                    gh = compose(g, h)
+                    if gh not in level:
+                        level[gh] = level[g] + 1
+                        if len(level) > cap:
+                            raise CapExceeded("cap", partial_count=len(level))
+                        nxt.append(gh)
+            frontier = nxt
+            if frontier:
+                depth += 1
+        return depth, len(level)
+
+    exact, order = bfs(list(gens), 1)
+    prefix, _ = bfs([identity(n)], 0)
+    return exact, prefix, order
+
+
+def seeded_generating_sets(count, seed):
+    """Generating sets on 1..6 points with 1-3 generators; some contain the
+    identity or repeat a generator."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(1, 7)
+        gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randrange(1, 4))]
+        extra = rng.random()
+        if extra < 0.2:
+            gens.insert(rng.randrange(len(gens) + 1), identity(n))
+        elif extra < 0.4:
+            gens.append(rng.choice(gens))
+        yield gens, n
 
 
 class TestBasics:
@@ -140,7 +184,7 @@ class TestCayleyDiameter:
         assert d.order == 4
 
     def test_identity_generator(self):
-        assert cayley_diameter([identity(2)], 2) == 1
+        assert cayley_diameters([identity(2)], 2).exact_power == 1
 
     def test_identity_padding_collapses_readings(self):
         d = cayley_diameters([SWAP01[:2] + (), identity(2)], 2)
@@ -179,3 +223,34 @@ class TestCayleyDiameter:
             for step in range(d.prefix_closed - 1):
                 reach |= {compose(g, h) for g in reach for h in gens}
             assert reach != group
+
+    def test_matches_two_bfs_reference(self):
+        for gens, n in seeded_generating_sets(400, 17):
+            got = cayley_diameters(gens, n)
+            assert (got.exact_power, got.prefix_closed, got.order) == two_bfs_diameters(
+                gens, n, 10**6
+            ), (gens, n)
+
+    def test_cap_boundary_matches_reference(self):
+        for gens, n in seeded_generating_sets(60, 23):
+            order = two_bfs_diameters(gens, n, 10**6)[2]
+            if order < 2:
+                continue
+            for run in (cayley_diameters, two_bfs_diameters):
+                with pytest.raises(CapExceeded) as info:
+                    run(gens, n, order - 1)
+                assert info.value.partial_count == order
+            assert cayley_diameters(gens, n, order).order == order
+
+    def test_one_group_traversal(self, monkeypatch):
+        # one BFS composes every element with every distinct generator once
+        calls = []
+
+        def counting(p, q):
+            calls.append(1)
+            return compose(p, q)
+
+        monkeypatch.setattr("synchro.permgroup.compose", counting)
+        gens = [SWAP01, THREE_CYCLE, SWAP01]
+        assert cayley_diameters(gens, 3).order == 6
+        assert len(calls) == 6 * 2

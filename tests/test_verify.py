@@ -1,4 +1,5 @@
 from synchro.automaton import Automaton
+from synchro.cones import escaped_masks
 from synchro.generate import cerny
 from synchro.verify import (
     lemma_suite,
@@ -44,6 +45,20 @@ class TestLemmaSuite:
     def test_sampled_mode_on_small_instance(self):
         inst = lemma_suite(cerny(4), subset_limit=4, sample_size=64)
         assert inst.ok, inst.failures
+
+    def test_escaped_table_built_once(self, monkeypatch):
+        calls = []
+
+        def counting(vectors, n):
+            calls.append(n)
+            return escaped_masks(vectors, n)
+
+        monkeypatch.setattr("synchro.cones.escaped_masks", counting)
+        monkeypatch.setattr("synchro.verify.escaped_masks", counting, raising=False)
+        inst = lemma_suite(cerny(6))
+        assert inst.ok, inst.failures
+        assert inst.by_name("escape_length_within_codimension").status == "pass"
+        assert calls == [6]
 
 
 class TestBatches:
