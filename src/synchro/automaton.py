@@ -131,6 +131,19 @@ class Automaton:
         return tuple(out)
 
     @cached_property
+    def preimage_mask_table(self) -> tuple[tuple[int, ...], ...]:
+        """Per letter, the preimage mask of every subset mask; O(k * 2^n) total."""
+        size = 1 << self.n
+        tables = []
+        for state_masks in self.preimage_state_masks:
+            tab = [0] * size
+            for mask in range(1, size):
+                low = mask & -mask
+                tab[mask] = tab[mask ^ low] | state_masks[low.bit_length() - 1]
+            tables.append(tuple(tab))
+        return tuple(tables)
+
+    @cached_property
     def letter_defects(self) -> tuple[int, ...]:
         return tuple(self.n - len(set(row)) for row in self.table)
 
@@ -154,6 +167,22 @@ def states_of(mask: int) -> frozenset[int]:
         mask ^= low
         out.add(low.bit_length())
     return frozenset(out)
+
+
+def reach(succ_masks: Sequence[int], start_mask: int) -> int:
+    """Mask of every vertex reachable from the vertices in ``start_mask``
+    (themselves included), where ``succ_masks[v]`` is the successor mask of
+    the 0-based vertex v."""
+    seen = frontier = start_mask
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nxt |= succ_masks[low.bit_length() - 1]
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen
 
 
 def image_mask(aut: Automaton, mask: int, a: int) -> int:
@@ -208,19 +237,6 @@ def image_chunk_tables(aut: Automaton) -> list[list[list[int]]]:
     return tables
 
 
-def preimage_mask_table(aut: Automaton) -> list[list[int]]:
-    """Per letter, the preimage mask of every subset mask; O(k * 2^n) total."""
-    size = 1 << aut.n
-    tables = []
-    for state_masks in aut.preimage_state_masks:
-        tab = [0] * size
-        for mask in range(1, size):
-            low = mask & -mask
-            tab[mask] = tab[mask ^ low] | state_masks[low.bit_length() - 1]
-        tables.append(tab)
-    return tables
-
-
 # ---------------------------------------------------------------------------
 # operations
 
@@ -256,27 +272,14 @@ def deficient_letters(aut: Automaton) -> tuple[int, ...]:
 
 def is_strongly_connected(aut: Automaton) -> bool:
     """True iff every state reaches every other in the transition digraph."""
-    n = aut.n
-    if n == 1:
-        return True
-    fwd = [set() for _ in range(n)]
-    back = [set() for _ in range(n)]
+    fwd = [0] * aut.n
+    back = [0] * aut.n
     for row in aut.table:
         for q, img in enumerate(row):
-            fwd[q].add(img)
-            back[img].add(q)
-    for adj in (fwd, back):
-        seen = {0}
-        stack = [0]
-        while stack:
-            q = stack.pop()
-            for r in adj[q]:
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-        if len(seen) != n:
-            return False
-    return True
+            fwd[q] |= 1 << img
+            back[img] |= 1 << q
+    full = aut.full_mask
+    return reach(fwd, 1) == full and reach(back, 1) == full
 
 
 def is_synchronizing(aut: Automaton) -> bool:

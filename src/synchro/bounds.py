@@ -39,11 +39,15 @@ from .errors import (
 )
 from .permgroup import (
     DEFAULT_GROUP_CAP,
-    CayleyDiameters,
     cayley_diameters,
     is_transitive,
     perms_of,
 )
+
+
+# The subset audits (here and in ``verify.lemma_suite``) enumerate every
+# subset while 2^n is at most this, and sample beyond it.
+EXHAUSTIVE_SUBSETS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -84,19 +88,13 @@ def bound_main(
 
 
 def bound_rystsov(
-    aut: Automaton,
-    a_set: Sequence[int] | None = None,
-    cap: int = DEFAULT_GROUP_CAP,
-    *,
-    diameters: CayleyDiameters | None = None,
+    aut: Automaton, a_set: Sequence[int] | None = None, cap: int = DEFAULT_GROUP_CAP
 ) -> int:
     """1 + (n-2) * (n - 1 + d) with d the exact-power generating diameter."""
     perms = perms_of(aut, a_set)
     if not is_transitive(perms, aut.n):
         raise NotTransitive("bound needs a transitive permutation set")
-    if diameters is None:
-        diameters = cayley_diameters(perms, aut.n, cap)
-    return rystsov_value(aut.n, diameters.exact_power)
+    return rystsov_value(aut.n, cayley_diameters(perms, aut.n, cap).exact_power)
 
 
 def rystsov_value(n: int, d: int) -> int:
@@ -112,12 +110,7 @@ def bound_defect1(aut: Automaton) -> int:
     return 2 * n * n - 7 * n + 7
 
 
-def synthesize_reset_word(
-    aut: Automaton,
-    a_set: Sequence[int] | None = None,
-    *,
-    cone: ConeReport | None = None,
-) -> SynthesisResult:
+def synthesize_reset_word(aut: Automaton, a_set: Sequence[int] | None = None) -> SynthesisResult:
     """Construct and verify a reset word via the extension chain.
 
     Requires a synchronizing automaton whose chosen permutation letters act
@@ -130,8 +123,7 @@ def synthesize_reset_word(
         raise ValueError("synthesis needs at least 2 states")
     if not is_synchronizing(aut):
         raise NotSynchronizing("automaton admits no reset word")
-    if cone is None:
-        cone = cone_sequence(aut, a_set)
+    cone = cone_sequence(aut, a_set)
     if not cone.is_subspace:
         raise NotTransitive("synthesis bound needs a transitive permutation set")
 
@@ -200,20 +192,15 @@ class ExtensibilityReport:
 
 
 def extensibility_bound_check(
-    aut: Automaton,
-    a_set: Sequence[int] | None = None,
-    *,
-    subset_limit: int = 1 << 14,
-    samples: int = 512,
-    seed: int = 0,
+    aut: Automaton, a_set: Sequence[int] | None = None
 ) -> ExtensibilityReport:
     """Check that every nonempty proper subset extends within 2n - 3 letters.
 
     Needs every letter of defect at most one and a synchronizing automaton
     with a transitive permutation set.  Instances with at most 5 states route
     to the exact threshold oracle instead, where the conjectured square bound
-    is known to hold.  Subsets are exhausted when 2^n is small enough and
-    sampled otherwise.
+    is known to hold.  Subsets are exhausted while 2^n is at most
+    ``EXHAUSTIVE_SUBSETS``; beyond it 512 seeded random subsets are checked.
     """
     if any(d > 1 for d in aut.letter_defects):
         raise UnsupportedAlphabet("a letter of defect 2 or more is present")
@@ -265,7 +252,7 @@ def extensibility_bound_check(
             violations.append(f"subset {sorted(states_of(mask))}: word did not extend")
 
     size = 1 << n
-    if size <= subset_limit:
+    if size <= EXHAUSTIVE_SUBSETS:
         mode = "exhaustive"
         dist, step = ell_all(aut, cone.limit_vectors)
         checked = 0
@@ -278,12 +265,11 @@ def extensibility_bound_check(
             check_mask(mask, dist[mask], escaped_mask, witness)
     else:
         mode = "sampled"
-        rng = random.Random(seed)
-        checked = 0
+        rng = random.Random(0)
+        checked = 512
         full = aut.full_mask
-        while checked < samples:
+        for _ in range(checked):
             mask = rng.randrange(1, full)  # nonempty proper subsets only
-            checked += 1
             # synchronizing was checked above, and the transitive
             # permutation set makes the automaton strongly connected
             escape_len, witness = polar_escape(aut, cone.limit_vectors, mask)

@@ -85,6 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="full structural and bound analysis")
     p_analyze.add_argument("file", help="automaton file")
     _add_flags(p_analyze, "--json", "--perm-set", "--exact", "--subset-cap", "--group-cap")
+    p_analyze.set_defaults(subset_cap=None)  # read only with --exact
 
     p_synth = sub.add_parser("synthesize", help="construct a certified reset word")
     p_synth.add_argument("file", help="automaton file")
@@ -101,11 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("lemmas", "bounds", "cerny", "enumerate"),
     )
     p_verify.add_argument("--n", type=int, default=None, help="state count")
-    p_verify.add_argument("--letters", type=int, default=2, help="letter count (enumerate)")
+    p_verify.add_argument("--letters", type=int, help="letter count (enumerate; default 2)")
     p_verify.add_argument(
-        "--seed-count", type=_positive_int, default=20, help="random instances (lemmas, bounds)"
+        "--seed-count", type=_positive_int, help="random instances (lemmas, bounds; default 20)"
     )
     _add_flags(p_verify, "--json", "--seed")
+    p_verify.set_defaults(seed=None)  # read by lemmas and bounds only; default 0
 
     p_gen = sub.add_parser("generate", help="emit an automaton file")
     p_gen.add_argument("kind", choices=("cerny", "random-st"))
@@ -116,6 +118,28 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p_gen, "--seed")
 
     return parser
+
+
+# The verify flags each suite reads besides --n and --json.
+_SUITE_FLAGS = {
+    "cerny": (),
+    "enumerate": ("letters",),
+    "bounds": ("seed_count", "seed"),
+    "lemmas": ("seed_count", "seed"),
+}
+
+
+def _unread_flags(args: argparse.Namespace) -> str | None:
+    """Why this invocation rejects given flags that it does not read, or None."""
+    if args.command == "verify":
+        dests = [d for d in ("letters", "seed_count", "seed") if d not in _SUITE_FLAGS[args.suite]]
+        when = f"with --suite {args.suite}"
+    elif args.command == "analyze" and not args.exact:
+        dests, when = ["subset_cap"], "without --exact"
+    else:
+        return None
+    given = ["--" + d.replace("_", "-") for d in dests if getattr(args, d) is not None]
+    return f"{args.command} does not read {', '.join(given)} {when}" if given else None
 
 
 def _read_automaton(path: str) -> Automaton:
@@ -326,11 +350,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif args.suite == "enumerate":
         if args.n is None:
             raise ValueError("--n is required for the enumerate suite")
-        suite = suite_enumerate(args.n, args.letters)
+        suite = suite_enumerate(args.n, 2 if args.letters is None else args.letters)
     else:
         ns = (5, 6, 7, 8, 9, 10) if args.n is None else (args.n,)
         run = suite_bounds if args.suite == "bounds" else suite_lemmas
-        suite = run(args.seed_count, ns, args.seed)
+        suite = run(args.seed_count or 20, ns, args.seed or 0)
     report = {
         "command": "verify",
         "suite": suite.suite,
@@ -369,6 +393,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    unread = _unread_flags(args)
+    if unread:
+        parser.error(unread)
     handlers = {
         "analyze": cmd_analyze,
         "synthesize": cmd_synthesize,

@@ -24,7 +24,6 @@ from .automaton import (
     is_synchronizing,
     mask_of,
     preimage_mask,
-    preimage_mask_table,
     word_preimage_mask,
 )
 from .errors import (
@@ -339,7 +338,7 @@ def ell_all(
     """
     n = aut.n
     size = 1 << n
-    pre_tabs = preimage_mask_table(aut)
+    pre_tabs = aut.preimage_mask_table
     escaped = escaped_masks(vectors, n)
     rev: list[list[tuple[int, int]]] = [[] for _ in range(size)]
     for m in range(size):

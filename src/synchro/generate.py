@@ -13,7 +13,7 @@ from .automaton import Automaton, is_synchronizing
 from .errors import ResourceCap, RetryExhausted
 from .permgroup import is_transitive, perms_of
 
-DEFAULT_ENUM_CAP = 1 << 21
+ENUM_CAP = 1 << 21
 
 
 def cerny(n: int) -> Automaton:
@@ -108,24 +108,18 @@ def _inverse_order(relabel: Sequence[int]) -> list[int]:
     return inv
 
 
-def enumerate_automata(
-    n: int,
-    k: int,
-    *,
-    dedup: bool = False,
-    cap: int | None = DEFAULT_ENUM_CAP,
-) -> Iterator[Automaton]:
+def enumerate_automata(n: int, k: int, *, dedup: bool = False) -> Iterator[Automaton]:
     """Stream every k-letter transition table on n states.
 
     With ``dedup`` only one representative per state-relabeling class is
-    emitted.  The raw count n^(n*k) is checked against ``cap`` up front so a
-    hopeless sweep fails fast instead of running forever.
+    emitted.  The raw count n^(n*k) is checked against ``ENUM_CAP``
+    up front so a hopeless sweep fails fast instead of running forever.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     total = n ** (n * k)
-    if cap is not None and total > cap:
-        raise ResourceCap(f"enumeration of {total} tables exceeds cap {cap}")
+    if total > ENUM_CAP:
+        raise ResourceCap(f"enumeration of {total} tables exceeds cap {ENUM_CAP}")
     names = _letter_names(k)
     seen: set[tuple] = set()
     for rows in itertools.product(itertools.product(range(n), repeat=n), repeat=k):
@@ -138,10 +132,10 @@ def enumerate_automata(
         yield aut
 
 
-def exhaustive_st_instances(n: int, k: int = 2, *, cap: int | None = DEFAULT_ENUM_CAP) -> Iterator[Automaton]:
-    """All enumerated n-state k-letter automata that are synchronizing with a
+def exhaustive_st_instances(n: int) -> Iterator[Automaton]:
+    """All enumerated n-state 2-letter automata that are synchronizing with a
     transitive group generated by their permutation letters."""
-    for aut in enumerate_automata(n, k, cap=cap):
+    for aut in enumerate_automata(n, 2):
         perm_ids = [a for a, d in enumerate(aut.letter_defects) if d == 0]
         if not perm_ids:
             continue

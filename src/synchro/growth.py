@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .automaton import Automaton, Word, letters_of_defect
+from .automaton import Automaton, Word, letters_of_defect, reach, states_of
 from .cones import cone_sequence, k_vector
 from .errors import (
     NoDefectOneLetters,
@@ -41,20 +41,14 @@ class Digraph:
             if not (1 <= p <= self.n and 1 <= q <= self.n):
                 raise ValueError(f"arc ({p},{q}) outside 1..{self.n}")
 
-    def out_degree(self, v: int) -> int:
-        return sum(1 for p, _ in self.arcs if p == v)
-
-    def in_degree(self, v: int) -> int:
-        return sum(1 for _, q in self.arcs if q == v)
-
 
 def digraph(n: int, arcs: Iterable[Arc]) -> Digraph:
     return Digraph(n, frozenset(arcs))
 
 
-def to_dot(g: Digraph, name: str = "gamma") -> str:
+def to_dot(g: Digraph) -> str:
     """dot-format rendering, vertex labels 1..n, one arc per line."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph gamma {"]
     for v in range(1, g.n + 1):
         lines.append(f"  {v};")
     for p, q in sorted(g.arcs):
@@ -95,7 +89,7 @@ class ComponentDecomposition:
 
 
 def scc_wcc(g: Digraph) -> ComponentDecomposition:
-    """Kosaraju strong components plus union-find weak components."""
+    """Kosaraju strong components plus weak components by reachability."""
     n = g.n
     adj: list[list[int]] = [[] for _ in range(n + 1)]
     radj: list[list[int]] = [[] for _ in range(n + 1)]
@@ -153,26 +147,20 @@ def scc_wcc(g: Digraph) -> ComponentDecomposition:
             is_sink[comp[p]] = False
             is_source[comp[q]] = False
 
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    undirected = [0] * n
     for p, q in g.arcs:
-        rp, rq = find(p), find(q)
-        if rp != rq:
-            parent[rp] = rq
-    groups: dict[int, set[int]] = {}
-    for v in range(1, n + 1):
-        groups.setdefault(find(v), set()).add(v)
-    wccs = tuple(frozenset(group) for _, group in sorted(groups.items()))
+        undirected[p - 1] |= 1 << (q - 1)
+        undirected[q - 1] |= 1 << (p - 1)
+    wccs = []
+    rest = (1 << n) - 1
+    while rest:
+        component = reach(undirected, rest & -rest)
+        wccs.append(states_of(component))
+        rest &= ~component
 
     return ComponentDecomposition(
         sccs=tuple(sccs),
-        wccs=wccs,
+        wccs=tuple(wccs),
         scc_is_sink=tuple(is_sink),
         scc_is_source=tuple(is_source),
     )
@@ -351,7 +339,7 @@ def verify_growth_lemmas(
             rank_ok = False
             rank_detail = f"level {i}: rank {basis.dim} != {expected}"
             break
-        complement = orthogonal_complement(basis, n)
+        complement = orthogonal_complement(basis)
         chars = span_basis([tuple(1 if v in w else 0 for v in range(1, n + 1)) for w in deco.wccs], n)
         if complement != chars:
             rank_ok = False

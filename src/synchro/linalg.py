@@ -10,10 +10,11 @@ so subspace equality is representation equality.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
+
+from .automaton import reach
 
 Scalar = Union[int, Fraction]
 Vector = tuple[Scalar, ...]
@@ -110,9 +111,6 @@ class SubspaceBasis:
                     break
         return tuple(out)
 
-    def contains(self, v: Sequence[Scalar]) -> bool:
-        return in_span(v, self)
-
     def extended(self, v: Sequence[Scalar]) -> "SubspaceBasis":
         """Canonical basis of the span enlarged by one vector."""
         if in_span(v, self):
@@ -153,12 +151,9 @@ def in_span(v: Sequence[Scalar], basis: SubspaceBasis) -> bool:
     return not any(residue)
 
 
-def orthogonal_complement(basis: SubspaceBasis, n: int | None = None) -> SubspaceBasis:
+def orthogonal_complement(basis: SubspaceBasis) -> SubspaceBasis:
     """Canonical basis of the null space of the matrix whose rows are ``basis``."""
-    if n is None:
-        n = basis.n
-    elif n != basis.n:
-        raise ValueError(f"ambient dimension {n} does not match basis over Q^{basis.n}")
+    n = basis.n
     pivots = set(basis.pivots())
     free_cols = [j for j in range(n) if j not in pivots]
     vectors = []
@@ -199,28 +194,18 @@ def _as_unit_difference(v: Sequence[Scalar]) -> tuple[int, int] | None:
     return plus, minus
 
 
-def _reachability_membership(target: tuple[int, int], arcs: list[tuple[int, int]]) -> bool:
-    """Flow decomposition for unit-difference cones.
+def _reachability_membership(target: tuple[int, int], arcs: list[tuple[int, int]], n: int) -> bool:
+    """Flow decomposition for unit-difference cones in Q^n.
 
     A nonnegative combination of vectors (+1 at head, -1 at tail) with total
     divergence +1 at ``s`` and -1 at ``t`` exists iff the arc set contains a
     directed path from t to s.
     """
     s, t = target
-    adj: dict[int, list[int]] = {}
+    succ = [0] * n
     for tail, head in arcs:
-        adj.setdefault(tail, []).append(head)
-    seen = {t}
-    queue = deque([t])
-    while queue:
-        q = queue.popleft()
-        if q == s:
-            return True
-        for r in adj.get(q, ()):
-            if r not in seen:
-                seen.add(r)
-                queue.append(r)
-    return s in seen
+        succ[tail] |= 1 << head
+    return bool(reach(succ, 1 << t) >> s & 1)
 
 
 def _cone_lp_feasible(v: Sequence[Scalar], gens: list[Sequence[Scalar]]) -> bool:
@@ -292,17 +277,11 @@ def _cone_lp_feasible(v: Sequence[Scalar], gens: list[Sequence[Scalar]]) -> bool
     return obj[-1] == 0
 
 
-def in_cone(
-    v: Sequence[Scalar],
-    gens: Iterable[Sequence[Scalar]],
-    method: str = "auto",
-) -> bool:
+def in_cone(v: Sequence[Scalar], gens: Iterable[Sequence[Scalar]]) -> bool:
     """Exact membership of ``v`` in the cone of nonnegative combinations.
 
-    ``method`` selects the decision procedure: "lp" runs the exact simplex,
-    "reachability" insists on the flow-decomposition shortcut (valid only
-    when the target and every generator is a unit-difference vector), and
-    "auto" takes the shortcut when it applies and falls back to the LP.
+    When the target and every generator are unit-difference vectors the
+    flow-decomposition shortcut decides it; otherwise the exact simplex does.
     """
     gen_list = [tuple(g) for g in gens]
     for g in gen_list:
@@ -313,14 +292,9 @@ def in_cone(
     gen_list = [g for g in dict.fromkeys(gen_list) if any(g)]
     if not gen_list:
         return False
-    if method not in ("auto", "lp", "reachability"):
-        raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "reachability"):
-        target = _as_unit_difference(v)
-        shapes = [_as_unit_difference(g) for g in gen_list]
-        if target is not None and all(s is not None for s in shapes):
-            arcs = [(minus, plus) for plus, minus in shapes]  # tail -> head
-            return _reachability_membership(target, arcs)
-        if method == "reachability":
-            raise ValueError("reachability method needs unit-difference vectors")
+    target = _as_unit_difference(v)
+    shapes = [_as_unit_difference(g) for g in gen_list]
+    if target is not None and all(s is not None for s in shapes):
+        arcs = [(minus, plus) for plus, minus in shapes]  # tail -> head
+        return _reachability_membership(target, arcs, len(v))
     return _cone_lp_feasible(v, gen_list)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .automaton import Automaton
+from .automaton import Automaton, reach
 from .errors import CapExceeded, NotAPermutation
 
 Perm = tuple[int, ...]
@@ -68,21 +68,17 @@ def perms_of(aut: Automaton, letters: Iterable[int] | None = None) -> tuple[Perm
 
 
 def orbit(perms: Iterable[Perm], n: int, start: int = 0) -> frozenset[int]:
-    """Orbit of a 0-based point under the generated *group* (inverses included)."""
-    gens = []
+    """Orbit of a 0-based point under the generated group.
+
+    The group is finite, so every inverse is a positive power of its
+    generator and the generators alone reach the whole orbit.
+    """
+    succ = [0] * n
     for p in perms:
-        gens.append(p)
-        gens.append(inverse(p))
-    seen = {start}
-    stack = [start]
-    while stack:
-        q = stack.pop()
-        for g in gens:
-            r = g[q]
-            if r not in seen:
-                seen.add(r)
-                stack.append(r)
-    return frozenset(seen)
+        for q, img in enumerate(p):
+            succ[q] |= 1 << img
+    mask = reach(succ, 1 << start)
+    return frozenset(q for q in range(n) if mask >> q & 1)
 
 
 def is_transitive(perms: Sequence[Perm], n: int) -> bool:

@@ -17,13 +17,13 @@ from .automaton import (
     Automaton,
     is_strongly_connected,
     is_synchronizing,
-    preimage_mask_table,
     reset_threshold_exact,
     states_of,
     word_image_mask,
     word_preimage_mask,
 )
 from .bounds import (
+    EXHAUSTIVE_SUBSETS,
     bound_defect1,
     bound_main,
     bound_rystsov,
@@ -67,24 +67,19 @@ class SuiteReport:
 # per-instance lemma audit
 
 def lemma_suite(
-    aut: Automaton,
-    a_set: Sequence[int] | None = None,
-    *,
-    word_depth: int = 3,
-    subset_limit: int = 1 << 14,
-    sample_size: int = 2048,
-    label: str = "",
+    aut: Automaton, a_set: Sequence[int] | None = None, *, label: str = ""
 ) -> LemmaReport:
     """Audit one automaton against every executable lemma that applies.
 
-    Subset-quantified checks run exhaustively while 2^n stays within
-    ``subset_limit`` and fall back to seeded sampling beyond it.  Checks
-    whose hypotheses do not hold for this instance report n/a.
+    Subset-quantified checks run exhaustively while 2^n is at most
+    ``bounds.EXHAUSTIVE_SUBSETS`` and on 2048 seeded random subsets beyond
+    it; the growth identity is checked on every word of length at most 3.
+    Checks whose hypotheses do not hold for this instance report n/a.
     """
     n = aut.n
     k_letters = len(aut.letters)
     size = 1 << n
-    exhaustive = size <= subset_limit
+    exhaustive = size <= EXHAUSTIVE_SUBSETS
     a_ids, perms = resolve_perm_set(aut, a_set)
     transitive = is_transitive(perms, n)
     sync = is_synchronizing(aut)
@@ -98,10 +93,10 @@ def lemma_suite(
     rng = random.Random(0x5EED ^ (n << 16) ^ k_letters)
     if exhaustive:
         masks = range(size)
-        pre_tabs = preimage_mask_table(aut)
+        pre_tabs = aut.preimage_mask_table
         pc = [m.bit_count() for m in range(size)]
     else:
-        masks = [rng.randrange(size) for _ in range(sample_size)]
+        masks = [rng.randrange(size) for _ in range(2048)]
         pre_tabs = None
         pc = None
 
@@ -110,7 +105,7 @@ def lemma_suite(
     identity_detail = ""
     words = [
         word
-        for length in range(word_depth + 1)
+        for length in range(4)
         for word in itertools.product(range(k_letters), repeat=length)
     ]
     for word in words:
@@ -325,15 +320,14 @@ def suite_cerny(n_max: int = 8) -> SuiteReport:
     return report
 
 
-def suite_enumerate(n: int, letters: int = 2, *, cap: int | None = None) -> SuiteReport:
+def suite_enumerate(n: int, letters: int = 2) -> SuiteReport:
     """Exhaustive square-bound sweep over all n-state tables."""
     report = SuiteReport(
         suite="enumerate", seed=None, params={"n": n, "letters": letters}
     )
     square = (n - 1) ** 2
     synchronizing = 0
-    kwargs = {} if cap is None else {"cap": cap}
-    for aut in enumerate_automata(n, letters, **kwargs):
+    for aut in enumerate_automata(n, letters):
         report.checked += 1
         if not is_synchronizing(aut):
             continue
@@ -352,12 +346,12 @@ def suite_bounds(
     count: int = 200,
     ns: Sequence[int] = (5, 6, 7, 8, 9, 10),
     seed: int = 0,
-    *,
-    group_cap: int = 20000,
 ) -> SuiteReport:
     """Soundness chain on random ST instances:
     exact threshold <= synthesized length <= dimension bound <= diameter bound,
-    plus the defect-one quadratic bound for 6 or more states."""
+    plus the defect-one quadratic bound for 6 or more states.  The diameter
+    bound is skipped for a group of order over 20000."""
+    group_cap = 20000
     report = SuiteReport(
         suite="bounds",
         seed=seed,

@@ -15,7 +15,7 @@ from synchro.cones import cone_sequence, preimage_matrix
 from synchro.generate import cerny
 from synchro.growth import gamma_growth
 from synchro.linalg import (
-    in_cone,
+    _cone_lp_feasible,
     in_span,
     span_basis,
     unit_difference,
@@ -146,7 +146,7 @@ def test_criterion_6_cone_reachability_cross_check():
         gens = [unit_difference(b + 1, a + 1, n) for a, b in arcs]
         p, q = rng.sample(range(n), 2)
         target = unit_difference(q + 1, p + 1, n)
-        lp = in_cone(target, gens, method="lp")
+        lp = _cone_lp_feasible(target, gens)
         expected = _reachable(arcs, p, q)
         if lp != expected:
             failures.append(f"trial {trial}: lp {lp} vs reachability {expected}")

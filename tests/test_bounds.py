@@ -183,10 +183,11 @@ class TestExtensibilityAudit:
         assert report.ok
 
     def test_sampled_mode(self):
-        aut = random_st(7, 1, 1, seed=6)
-        report = extensibility_bound_check(aut, subset_limit=8, samples=40)
+        # 2^15 subsets is the first size past the exhaustive limit
+        aut = random_st(15, 1, 1, seed=15)
+        report = extensibility_bound_check(aut)
         assert report.mode == "sampled"
-        assert report.checked == 40
+        assert report.checked == 512
         assert report.ok
 
     def test_defect_two_rejected(self):

@@ -170,6 +170,40 @@ class TestUsageErrors:
         assert info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "cerny", "--seed", "9"],
+            ["verify", "--suite", "cerny", "--letters", "7"],
+            ["verify", "--suite", "cerny", "--seed-count", "3"],
+            ["verify", "--suite", "enumerate", "--n", "2", "--seed", "9"],
+            ["verify", "--suite", "enumerate", "--n", "2", "--seed-count", "3"],
+            ["verify", "--suite", "bounds", "--letters", "3"],
+            ["verify", "--suite", "lemmas", "--letters", "3"],
+            ["analyze", "{c4}", "--subset-cap", "5"],
+        ],
+        ids=[
+            "cerny-seed",
+            "cerny-letters",
+            "cerny-seed-count",
+            "enumerate-seed",
+            "enumerate-seed-count",
+            "bounds-letters",
+            "lemmas-letters",
+            "analyze-subset-cap-without-exact",
+        ],
+    )
+    def test_flag_an_invocation_does_not_read_is_rejected(self, capsys, c4_file, argv):
+        with pytest.raises(SystemExit) as info:
+            main([arg.format(c4=c4_file) for arg in argv])
+        assert info.value.code == 2
+        flag = next(arg for arg in reversed(argv) if arg.startswith("--"))
+        assert f"does not read {flag}" in capsys.readouterr().err
+
+    def test_subset_cap_is_read_with_exact(self, capsys, c4_file):
+        code = main(["analyze", c4_file, "--exact", "--subset-cap", "2"])
+        assert code == ResourceCap.exit_code
+
 
 class TestVerifyCommand:
     def test_cerny_suite_needs_two_states(self, capsys):
@@ -196,6 +230,14 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert report["details"]["synchronizing"] == 549
+
+    def test_enumerate_suite_reads_letters(self, capsys):
+        code, report = run_json(
+            capsys, ["verify", "--suite", "enumerate", "--n", "2", "--letters", "1", "--json"]
+        )
+        assert code == 0
+        assert report["params"] == {"n": 2, "letters": 1}
+        assert report["checked"] == 4
 
     def test_bounds_suite_records_seed(self, capsys):
         code, report = run_json(

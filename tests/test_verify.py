@@ -1,6 +1,8 @@
+from functools import cached_property
+
 from synchro.automaton import Automaton
 from synchro.cones import escaped_masks
-from synchro.generate import cerny
+from synchro.generate import cerny, random_st
 from synchro.verify import (
     lemma_suite,
     random_st_batch,
@@ -43,8 +45,11 @@ class TestLemmaSuite:
         assert statuses["cone_digraph_bridge"] == "n/a"
 
     def test_sampled_mode_on_small_instance(self):
-        inst = lemma_suite(cerny(4), subset_limit=4, sample_size=64)
+        # 2^15 subsets is the first size past the exhaustive limit
+        inst = lemma_suite(random_st(15, 1, 1, seed=15))
         assert inst.ok, inst.failures
+        assert inst.by_name("preimage_growth_identity").status == "pass"
+        assert inst.by_name("polar_members_have_stable_preimages").status == "n/a"
 
     def test_escaped_table_built_once(self, monkeypatch):
         calls = []
@@ -58,6 +63,22 @@ class TestLemmaSuite:
         inst = lemma_suite(cerny(6))
         assert inst.ok, inst.failures
         assert inst.by_name("escape_length_within_codimension").status == "pass"
+        assert calls == [6]
+
+    def test_preimage_table_built_once(self, monkeypatch):
+        calls = []
+        build = Automaton.__dict__["preimage_mask_table"].func
+
+        def counting(aut):
+            calls.append(aut.n)
+            return build(aut)
+
+        table = cached_property(counting)
+        table.__set_name__(Automaton, "preimage_mask_table")
+        monkeypatch.setattr(Automaton, "preimage_mask_table", table)
+        inst = lemma_suite(cerny(6))
+        assert inst.ok, inst.failures
+        assert inst.by_name("polar_members_have_stable_preimages").status == "pass"
         assert calls == [6]
 
 
