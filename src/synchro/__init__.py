@@ -9,13 +9,10 @@ verification suites that run every supporting fact as an executable check.
 from .automaton import (
     Automaton,
     Word,
-    apply_word,
-    defect,
     deficient_letters,
     is_strongly_connected,
     is_synchronizing,
     letters_of_defect,
-    preimage,
     reset_threshold_exact,
 )
 from .bounds import (
@@ -25,18 +22,9 @@ from .bounds import (
     bound_main,
     bound_rystsov,
     build_bounds_report,
-    extensibility_bound_check,
     synthesize_reset_word,
 )
-from .cones import (
-    ConeReport,
-    KVector,
-    cone_sequence,
-    ell,
-    extend_subset,
-    k_vector,
-    preimage_matrix,
-)
+from .cones import ConeReport, KVector, cone_sequence, ell, k_vector
 from .errors import (
     CapExceeded,
     InternalContradiction,
@@ -62,17 +50,13 @@ from .growth import (
     excluded_and_duplicate,
     gamma_growth,
     scc_wcc,
-    to_dot,
     translen_k_bound,
     verify_growth_lemmas,
 )
 from .linalg import (
     SubspaceBasis,
-    char_vector,
     in_cone,
-    in_polar_cone,
     in_span,
-    inner_product,
     orthogonal_complement,
     span_basis,
 )

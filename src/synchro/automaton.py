@@ -240,24 +240,6 @@ def image_chunk_tables(aut: Automaton) -> list[list[list[int]]]:
 # ---------------------------------------------------------------------------
 # operations
 
-def apply_word(aut: Automaton, states: Iterable[int], word: Word) -> frozenset[int]:
-    """Forward action: the set {q.w : q in states}, 1-indexed."""
-    aut.validate_word(word)
-    return states_of(word_image_mask(aut, mask_of(states, aut.n), word))
-
-
-def preimage(aut: Automaton, states: Iterable[int], word: Word) -> frozenset[int]:
-    """The exact preimage {q : q.w in states}, 1-indexed."""
-    aut.validate_word(word)
-    return states_of(word_preimage_mask(aut, mask_of(states, aut.n), word))
-
-
-def defect(aut: Automaton, word: Word) -> int:
-    """Number of states missing from the image of the whole state set."""
-    aut.validate_word(word)
-    return aut.n - word_image_mask(aut, aut.full_mask, word).bit_count()
-
-
 def letters_of_defect(aut: Automaton, i: int) -> frozenset[int]:
     """Letter ids whose single-letter defect is exactly ``i``."""
     if not 0 <= i <= aut.n - 1:

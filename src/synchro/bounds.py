@@ -9,7 +9,6 @@ into a reset word of length at most ``1 + (n-2) * (n - dim + transient)``.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,18 +17,10 @@ from .automaton import (
     Word,
     is_synchronizing,
     reset_threshold_exact,
-    states_of,
     word_image_mask,
     word_preimage_mask,
 )
-from .cones import (
-    ConeReport,
-    cone_sequence,
-    ell_all,
-    escape_word_from_steps,
-    extend_mask,
-    polar_escape,
-)
+from .cones import ConeReport, cone_sequence, extend_mask
 from .errors import (
     CapExceeded,
     InternalContradiction,
@@ -43,11 +34,6 @@ from .permgroup import (
     is_transitive,
     perms_of,
 )
-
-
-# The subset audits (here and in ``verify.lemma_suite``) enumerate every
-# subset while 2^n is at most this, and sample beyond it.
-EXHAUSTIVE_SUBSETS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -171,119 +157,6 @@ def synthesize_reset_word(aut: Automaton, a_set: Sequence[int] | None = None) ->
         trans_len_k=cone.trans_len_k,
         verified=verified,
         within_bound=len(reset_word) <= bound,
-    )
-
-
-@dataclass(frozen=True)
-class ExtensibilityReport:
-    """Extension-length audit over nonempty proper subsets."""
-
-    n: int
-    mode: str  # "exact-oracle" | "exhaustive" | "sampled"
-    bound: int
-    checked: int
-    violations: tuple[str, ...]
-    trans_len_k: int | None
-    max_extension_length: int | None
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def extensibility_bound_check(
-    aut: Automaton, a_set: Sequence[int] | None = None
-) -> ExtensibilityReport:
-    """Check that every nonempty proper subset extends within 2n - 3 letters.
-
-    Needs every letter of defect at most one and a synchronizing automaton
-    with a transitive permutation set.  Instances with at most 5 states route
-    to the exact threshold oracle instead, where the conjectured square bound
-    is known to hold.  Subsets are exhausted while 2^n is at most
-    ``EXHAUSTIVE_SUBSETS``; beyond it 512 seeded random subsets are checked.
-    """
-    if any(d > 1 for d in aut.letter_defects):
-        raise UnsupportedAlphabet("a letter of defect 2 or more is present")
-    if not is_synchronizing(aut):
-        raise NotSynchronizing("extension audit needs a synchronizing automaton")
-    if not is_transitive(perms_of(aut, a_set), aut.n):
-        raise NotTransitive("extension audit needs a transitive permutation set")
-
-    n = aut.n
-    if n <= 5:
-        rt, _ = reset_threshold_exact(aut)
-        square = (n - 1) ** 2
-        violations = () if rt <= square else (f"rt {rt} > {square}",)
-        return ExtensibilityReport(
-            n=n,
-            mode="exact-oracle",
-            bound=square,
-            checked=1,
-            violations=violations,
-            trans_len_k=None,
-            max_extension_length=None,
-        )
-
-    cone = cone_sequence(aut, a_set)
-    k = cone.trans_len_k
-    bound = 2 * n - 3
-    violations: list[str] = []
-    max_len = 0
-
-    def check_mask(mask: int, escape_len: int, escaped_mask: int, witness: Word) -> None:
-        nonlocal max_len
-        if k + escape_len + 1 > bound:
-            violations.append(
-                f"subset {sorted(states_of(mask))}: transient {k} + escape "
-                f"{escape_len} + 1 exceeds {bound}"
-            )
-            return
-        word = cone.extension_word(escaped_mask, witness)
-        if word is None:
-            violations.append(f"subset {sorted(states_of(mask))}: no extension word found")
-            return
-        max_len = max(max_len, len(word))
-        if len(word) > bound:
-            violations.append(
-                f"subset {sorted(states_of(mask))}: extension of "
-                f"length {len(word)} exceeds {bound}"
-            )
-        elif word_preimage_mask(aut, mask, word).bit_count() <= mask.bit_count():
-            violations.append(f"subset {sorted(states_of(mask))}: word did not extend")
-
-    size = 1 << n
-    if size <= EXHAUSTIVE_SUBSETS:
-        mode = "exhaustive"
-        dist, step = ell_all(aut, cone.limit_vectors)
-        checked = 0
-        for mask in range(1, size - 1):
-            checked += 1
-            if dist[mask] is None:
-                violations.append(f"subset {sorted(states_of(mask))}: no polar escape")
-                continue
-            witness, escaped_mask = escape_word_from_steps(step, mask)
-            check_mask(mask, dist[mask], escaped_mask, witness)
-    else:
-        mode = "sampled"
-        rng = random.Random(0)
-        checked = 512
-        full = aut.full_mask
-        for _ in range(checked):
-            mask = rng.randrange(1, full)  # nonempty proper subsets only
-            # synchronizing was checked above, and the transitive
-            # permutation set makes the automaton strongly connected
-            escape_len, witness = polar_escape(aut, cone.limit_vectors, mask)
-            escaped_mask = word_preimage_mask(aut, mask, witness)
-            check_mask(mask, escape_len, escaped_mask, witness)
-
-    return ExtensibilityReport(
-        n=n,
-        mode=mode,
-        bound=bound,
-        checked=checked,
-        violations=tuple(violations),
-        trans_len_k=k,
-        max_extension_length=max_len or None,
     )
 
 

@@ -112,10 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="emit an automaton file")
     p_gen.add_argument("kind", choices=("cerny", "random-st"))
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--perm-letters", type=int, default=1)
-    p_gen.add_argument("--defect1-letters", type=int, default=1)
+    p_gen.add_argument("--perm-letters", type=int, help="random-st only; default 1")
+    p_gen.add_argument("--defect1-letters", type=int, help="random-st only; default 1")
     p_gen.add_argument("-o", "--out", help="output path (default: stdout)")
     _add_flags(p_gen, "--seed")
+    p_gen.set_defaults(seed=None)  # read by random-st only; default 0
 
     return parser
 
@@ -136,6 +137,8 @@ def _unread_flags(args: argparse.Namespace) -> str | None:
         when = f"with --suite {args.suite}"
     elif args.command == "analyze" and not args.exact:
         dests, when = ["subset_cap"], "without --exact"
+    elif args.command == "generate" and args.kind == "cerny":
+        dests, when = ["seed", "perm_letters", "defect1_letters"], "for cerny"
     else:
         return None
     given = ["--" + d.replace("_", "-") for d in dests if getattr(args, d) is not None]
@@ -380,7 +383,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.kind == "cerny":
         aut = cerny(args.n)
     else:
-        aut = random_st(args.n, args.perm_letters, args.defect1_letters, args.seed)
+        aut = random_st(
+            args.n,
+            1 if args.perm_letters is None else args.perm_letters,
+            1 if args.defect1_letters is None else args.defect1_letters,
+            args.seed or 0,
+        )
     text = emit_automaton(aut)
     if args.out:
         with open(args.out, "w", encoding="ascii", newline="") as handle:

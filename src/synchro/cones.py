@@ -31,16 +31,8 @@ from .errors import (
     NoDeficientLetters,
     NotStronglyConnected,
     NotSynchronizing,
-    NotTransitive,
 )
-from .linalg import (
-    Matrix,
-    SubspaceBasis,
-    Vector,
-    char_vector_of_mask,
-    in_cone,
-    span_basis,
-)
+from .linalg import SubspaceBasis, Vector, in_cone, span_basis
 from .permgroup import Perm, is_transitive, resolve_perm_set
 
 
@@ -62,18 +54,6 @@ def k_vector(aut: Automaton, word: Word) -> KVector:
             img = aut.table[a][img]
         counts[img] += 1
     return KVector(tuple(counts), tuple(word))
-
-
-def preimage_matrix(aut: Automaton, word: Word) -> Matrix:
-    """Matrix [w] with row q the indicator of preimage({q}, w).
-
-    Acting on row vectors from the right: char(S) [w] = char(S.w^-1).
-    """
-    aut.validate_word(word)
-    return tuple(
-        char_vector_of_mask(word_preimage_mask(aut, 1 << q, word), aut.n)
-        for q in range(aut.n)
-    )
 
 
 def shift_vector(vector: Vector, perm: Perm) -> Vector:
@@ -300,28 +280,6 @@ def extend_mask(aut: Automaton, mask: int, cone: ConeReport) -> tuple[Word, int]
     if word_preimage_mask(aut, mask, word).bit_count() <= mask.bit_count():
         raise InternalContradiction(f"extension word {word} failed to grow the preimage")
     return word, ell_len
-
-
-def extend_subset(
-    aut: Automaton,
-    a_set: Sequence[int] | None = None,
-    s: Sequence[int] | frozenset[int] = (),
-    *,
-    cone: ConeReport | None = None,
-) -> Word:
-    """A word whose preimage strictly enlarges ``s``.
-
-    The word factors as (generator word) + (polar escape witness); its length
-    is bounded by the cone transient plus the escape length plus one.
-    """
-    if not is_synchronizing(aut):
-        raise NotSynchronizing("extension needs a synchronizing automaton")
-    if cone is None:
-        cone = cone_sequence(aut, a_set)
-    if not cone.is_subspace:
-        raise NotTransitive("extension bounds need a transitive permutation set")
-    word, _ = extend_mask(aut, _proper_subset_mask(aut, s), cone)
-    return word
 
 
 def ell_all(

@@ -46,17 +46,6 @@ def digraph(n: int, arcs: Iterable[Arc]) -> Digraph:
     return Digraph(n, frozenset(arcs))
 
 
-def to_dot(g: Digraph) -> str:
-    """dot-format rendering, vertex labels 1..n, one arc per line."""
-    lines = ["digraph gamma {"]
-    for v in range(1, g.n + 1):
-        lines.append(f"  {v};")
-    for p, q in sorted(g.arcs):
-        lines.append(f"  {p} -> {q};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class ComponentDecomposition:
     """Strong and weak component partitions with sink/source flags.

@@ -1,11 +1,10 @@
-"""Exact rational vectors and matrices: spans, orthogonal complements, cone
-membership, and polar-cone tests.
+"""Exact rational vectors: spans, orthogonal complements and cone membership.
 
 All arithmetic is over arbitrary-precision rationals (`fractions.Fraction`,
 with plain `int` admitted wherever it is exact); no operation ever rounds.
-Vectors are plain tuples, matrices tuples of row tuples, and a subspace is
-represented by its reduced row echelon basis, which is unique per subspace,
-so subspace equality is representation equality.
+Vectors are plain tuples, and a subspace is represented by its reduced row
+echelon basis, which is unique per subspace, so subspace equality is
+representation equality.
 """
 
 from __future__ import annotations
@@ -18,21 +17,6 @@ from .automaton import reach
 
 Scalar = Union[int, Fraction]
 Vector = tuple[Scalar, ...]
-Matrix = tuple[Vector, ...]
-
-
-def char_vector(states: Iterable[int], n: int) -> Vector:
-    """0/1 indicator of a 1-indexed state set as a length-n vector."""
-    out = [0] * n
-    for q in states:
-        if not 1 <= q <= n:
-            raise ValueError(f"state {q} out of range 1..{n}")
-        out[q - 1] = 1
-    return tuple(out)
-
-
-def char_vector_of_mask(mask: int, n: int) -> Vector:
-    return tuple((mask >> i) & 1 for i in range(n))
 
 
 def unit_difference(plus: int, minus: int, n: int) -> Vector:
@@ -40,25 +24,6 @@ def unit_difference(plus: int, minus: int, n: int) -> Vector:
     out = [0] * n
     out[plus - 1] += 1
     out[minus - 1] -= 1
-    return tuple(out)
-
-
-def inner_product(x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    return sum(a * b for a, b in zip(x, y))
-
-
-def vector_times_matrix(x: Sequence[Scalar], m: Matrix) -> Vector:
-    if len(x) != len(m):
-        raise ValueError("vector/matrix size mismatch")
-    n = len(m[0]) if m else 0
-    out = [0] * n
-    for coeff, row in zip(x, m):
-        if coeff:
-            for j, entry in enumerate(row):
-                if entry:
-                    out[j] += coeff * entry
     return tuple(out)
 
 
@@ -171,11 +136,6 @@ def orthogonal_complement(basis: SubspaceBasis) -> SubspaceBasis:
 
 # ---------------------------------------------------------------------------
 # cones
-
-def in_polar_cone(v: Sequence[Scalar], gens: Iterable[Sequence[Scalar]]) -> bool:
-    """True iff <g, v> <= 0 for every generator; finitely many suffice."""
-    return all(inner_product(g, v) <= 0 for g in gens)
-
 
 def _as_unit_difference(v: Sequence[Scalar]) -> tuple[int, int] | None:
     """Recognize a vector with one +1, one -1, zeros elsewhere (0-based)."""

@@ -22,13 +22,7 @@ from .automaton import (
     word_image_mask,
     word_preimage_mask,
 )
-from .bounds import (
-    EXHAUSTIVE_SUBSETS,
-    bound_defect1,
-    bound_main,
-    bound_rystsov,
-    synthesize_reset_word,
-)
+from .bounds import bound_defect1, bound_main, bound_rystsov, synthesize_reset_word
 from .cones import (
     cone_sequence,
     ell_all,
@@ -47,6 +41,11 @@ from .growth import (
 )
 from .linalg import in_cone, unit_difference
 from .permgroup import is_transitive, resolve_perm_set
+
+
+# The lemma audit enumerates every subset while 2^n is at most this, and
+# samples beyond it.
+EXHAUSTIVE_SUBSETS = 1 << 14
 
 
 @dataclass
@@ -72,9 +71,12 @@ def lemma_suite(
     """Audit one automaton against every executable lemma that applies.
 
     Subset-quantified checks run exhaustively while 2^n is at most
-    ``bounds.EXHAUSTIVE_SUBSETS`` and on 2048 seeded random subsets beyond
-    it; the growth identity is checked on every word of length at most 3.
-    Checks whose hypotheses do not hold for this instance report n/a.
+    ``EXHAUSTIVE_SUBSETS`` and on 2048 seeded random subsets beyond it; the
+    growth identity is checked on every word of length at most 3.  When every
+    letter has defect at most one and n >= 3, ``extension_within_2n_minus_3``
+    checks that every nonempty proper subset extends within 2n - 3 letters,
+    the step behind the bound 2n^2 - 7n + 7 = 1 + (n - 2)(2n - 3).  Checks
+    whose hypotheses do not hold for this instance report n/a.
     """
     n = aut.n
     k_letters = len(aut.letters)
@@ -194,12 +196,20 @@ def lemma_suite(
             "polar_members_have_stable_preimages", "state set too large for exhaustive sweep"
         )
 
+    if not defect_at_most_1:
+        two_n_na = "letters of defect 2 or more present"
+    elif n < 3:
+        two_n_na = "2n - 3 needs at least 3 states"
+    else:
+        two_n_na = None
     if sync and connected and transitive and exhaustive:
         bound_codim = n - 1 - cone.span_dim
         escape_ok = True
         escape_detail = ""
         extend_ok = True
         extend_detail = ""
+        two_n_ok = True
+        two_n_detail = ""
         for mask in range(1, size - 1):
             if dist[mask] is None or dist[mask] > bound_codim:
                 escape_ok = False
@@ -218,15 +228,23 @@ def lemma_suite(
                 extend_detail = f"subset {sorted(states_of(mask))}: no growth"
             if not extend_ok:
                 break
+            if two_n_ok and two_n_na is None and len(word) > 2 * n - 3:
+                two_n_ok = False
+                two_n_detail = f"subset {sorted(states_of(mask))}: length {len(word)}"
         report.add("escape_length_within_codimension", escape_ok, escape_detail)
         report.add("extension_length_within_cone_bound", extend_ok, extend_detail)
+        if two_n_na is None:
+            report.add("extension_within_2n_minus_3", two_n_ok, two_n_detail)
+        else:
+            report.add_na("extension_within_2n_minus_3", two_n_na)
     else:
         why = (
             "needs synchronizing, strongly connected, transitive, exhaustive"
             f" (sync={sync}, connected={connected}, transitive={transitive})"
         )
-        report.add_na("escape_length_within_codimension", why)
-        report.add_na("extension_length_within_cone_bound", why)
+        for name in ("escape_length_within_codimension", "extension_length_within_cone_bound",
+                     "extension_within_2n_minus_3"):
+            report.add_na(name, why)
 
     if has_defect_1:
         trace = gamma_growth(aut, a_ids)
@@ -349,8 +367,8 @@ def suite_bounds(
 ) -> SuiteReport:
     """Soundness chain on random ST instances:
     exact threshold <= synthesized length <= dimension bound <= diameter bound,
-    plus the defect-one quadratic bound for 6 or more states.  The diameter
-    bound is skipped for a group of order over 20000."""
+    plus the defect-one quadratic bound.  The diameter bound is skipped for
+    a group of order over 20000."""
     group_cap = 20000
     report = SuiteReport(
         suite="bounds",
@@ -361,7 +379,6 @@ def suite_bounds(
     fails = report.failures
     for label, aut in instances:
         report.checked += 1
-        n = aut.n
         rt, _ = reset_threshold_exact(aut)
         result = synthesize_reset_word(aut)
         if not result.verified:
@@ -380,7 +397,7 @@ def suite_bounds(
             if rt > ryst:
                 fails.append(f"{label}: rt {rt} > diameter bound {ryst}")
         d1 = bound_defect1(aut)
-        if n >= 6 and result.length > d1:
+        if result.length > d1:
             fails.append(f"{label}: synthesized {result.length} > defect-1 bound {d1}")
     report.details["instances"] = [label for label, _ in instances]
     return report

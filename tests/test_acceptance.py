@@ -11,7 +11,7 @@ from collections import deque
 
 from synchro.automaton import Automaton, reset_threshold_exact, word_image_mask
 from synchro.bounds import bound_main
-from synchro.cones import cone_sequence, preimage_matrix
+from synchro.cones import cone_sequence
 from synchro.generate import cerny
 from synchro.growth import gamma_growth
 from synchro.linalg import (
@@ -19,9 +19,10 @@ from synchro.linalg import (
     in_span,
     span_basis,
     unit_difference,
-    vector_times_matrix,
 )
 from synchro.verify import random_st_batch, suite_bounds, suite_enumerate, suite_lemmas
+
+from oracles import preimage_matrix, vector_times_matrix
 
 SEED = 20260808
 

@@ -7,18 +7,16 @@ from hypothesis import strategies as st
 
 from synchro.automaton import (
     Automaton,
-    apply_word,
-    defect,
     is_strongly_connected,
     is_synchronizing,
     letters_of_defect,
-    preimage,
     reset_threshold_exact,
     word_image_mask,
 )
 from synchro.errors import NotSynchronizing, ResourceCap
 
 from conftest import random_automaton
+from oracles import apply_word, defect, preimage
 
 
 def brute_force_reset_threshold(aut: Automaton, max_len: int) -> int | None:

@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from synchro.automaton import Automaton, apply_word, is_synchronizing, reset_threshold_exact
+from synchro.automaton import Automaton, is_synchronizing, reset_threshold_exact
 from synchro.bounds import (
     bound_defect1,
     bound_main,
     bound_rystsov,
     build_bounds_report,
-    extensibility_bound_check,
     synthesize_reset_word,
 )
 from synchro.cones import cone_sequence
@@ -19,6 +18,8 @@ from synchro.errors import (
     UnsupportedAlphabet,
 )
 from synchro.generate import cerny, random_st
+
+from oracles import apply_word
 
 
 class TestBoundMain:
@@ -141,8 +142,7 @@ class TestSynthesize:
             rt, _ = reset_threshold_exact(aut)
             result = synthesize_reset_word(aut)
             assert rt <= result.length <= result.bound
-            if n >= 6:
-                assert result.length <= bound_defect1(aut)
+            assert result.length <= bound_defect1(aut)
 
     def test_soundness_chain_on_family_up_to_ten(self):
         for n in range(2, 11):
@@ -161,39 +161,12 @@ class TestSynthesize:
                 result = synthesize_reset_word(aut)
                 assert rt <= result.length <= result.bound
 
-
-class TestExtensibilityAudit:
-    def test_small_instances_route_to_exact_oracle(self, c4):
-        report = extensibility_bound_check(c4, (0,))
-        assert report.mode == "exact-oracle"
-        assert report.ok
-        assert report.bound == 9
-
-    def test_six_state_family_exhaustive(self):
-        report = extensibility_bound_check(cerny(6), (0,))
-        assert report.mode == "exhaustive"
-        assert report.bound == 9
-        assert report.checked == 2**6 - 2
-        assert report.ok
-
-    def test_eight_state_random(self):
-        aut = random_st(8, 1, 1, seed=5)
-        report = extensibility_bound_check(aut)
-        assert report.bound == 13
-        assert report.ok
-
-    def test_sampled_mode(self):
-        # 2^15 subsets is the first size past the exhaustive limit
-        aut = random_st(15, 1, 1, seed=15)
-        report = extensibility_bound_check(aut)
-        assert report.mode == "sampled"
-        assert report.checked == 512
-        assert report.ok
-
-    def test_defect_two_rejected(self):
-        aut = Automaton(("a", "b"), ((1, 2, 0), (0, 0, 0)))
-        with pytest.raises(UnsupportedAlphabet):
-            extensibility_bound_check(aut)
+    def test_steps_within_2n_minus_3_past_exhaustive_limit(self):
+        # the lemma audit checks 2n - 3 on every subset only while 2^n <= 2^14
+        for aut in (random_st(15, 1, 1, seed=15), cerny(16)):
+            steps = synthesize_reset_word(aut).steps
+            assert len(steps) > 2
+            assert all(len(step.word) <= 2 * aut.n - 3 for step in steps[1:])
 
 
 class TestBoundsReport:

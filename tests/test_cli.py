@@ -14,7 +14,7 @@ from synchro.errors import (
     ResourceCap,
 )
 from synchro.fileformat import parse_automaton
-from synchro.generate import cerny
+from synchro.generate import cerny, random_st
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text()
@@ -181,6 +181,9 @@ class TestUsageErrors:
             ["verify", "--suite", "bounds", "--letters", "3"],
             ["verify", "--suite", "lemmas", "--letters", "3"],
             ["analyze", "{c4}", "--subset-cap", "5"],
+            ["generate", "cerny", "--n", "3", "--seed", "9"],
+            ["generate", "cerny", "--n", "3", "--perm-letters", "2"],
+            ["generate", "cerny", "--n", "3", "--defect1-letters", "2"],
         ],
         ids=[
             "cerny-seed",
@@ -191,6 +194,9 @@ class TestUsageErrors:
             "bounds-letters",
             "lemmas-letters",
             "analyze-subset-cap-without-exact",
+            "generate-cerny-seed",
+            "generate-cerny-perm-letters",
+            "generate-cerny-defect1-letters",
         ],
     )
     def test_flag_an_invocation_does_not_read_is_rejected(self, capsys, c4_file, argv):
@@ -270,6 +276,13 @@ class TestGenerate:
         assert first == second
         aut = parse_automaton(first)
         assert aut.n == 6
+
+    def test_random_st_defaults(self, capsys):
+        main(["generate", "random-st", "--n", "6"])
+        assert parse_automaton(capsys.readouterr().out) == random_st(6, 1, 1, 0)
+        main(["generate", "random-st", "--n", "6", "--seed", "7",
+              "--perm-letters", "2", "--defect1-letters", "2"])
+        assert parse_automaton(capsys.readouterr().out) == random_st(6, 2, 2, 7)
 
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "out.txt"

@@ -3,36 +3,36 @@ import random
 
 import pytest
 
-from synchro.automaton import Automaton, preimage, states_of
+from synchro.automaton import Automaton, mask_of, states_of
 from synchro.cones import (
     cone_sequence,
     ell,
     ell_all,
     escape_word_from_steps,
     escaped_masks,
-    extend_subset,
+    extend_mask,
     k_vector,
-    preimage_matrix,
     shift_vector,
 )
 from synchro.errors import (
+    InternalContradiction,
     NoDeficientLetters,
     NotStronglyConnected,
     NotSynchronizing,
 )
 from synchro.generate import cerny
-from synchro.linalg import (
-    char_vector,
-    in_cone,
-    in_polar_cone,
-    in_span,
-    inner_product,
-    span_basis,
-    vector_times_matrix,
-)
+from synchro.linalg import in_cone, in_span, span_basis
 from synchro.permgroup import permutation_of_letter
 
 from conftest import random_automaton
+from oracles import (
+    char_vector,
+    in_polar_cone,
+    inner_product,
+    preimage,
+    preimage_matrix,
+    vector_times_matrix,
+)
 
 
 class TestKVector:
@@ -342,18 +342,19 @@ class TestSubspaceEscape:
 
 class TestExtendSubset:
     def test_single_merging_letter_suffices(self, c4):
-        word = extend_subset(c4, (0,), {2})
+        word, _ = extend_mask(c4, mask_of({2}, 4), cone_sequence(c4, (0,)))
         assert word == c4.word("b")
         assert preimage(c4, {2}, word) == {1, 2}
 
     def test_grows_to_full_set(self, c4):
-        word = extend_subset(c4, (0,), {1, 2, 3})
+        word, _ = extend_mask(c4, mask_of({1, 2, 3}, 4), cone_sequence(c4, (0,)))
         assert len(word) <= 4
         assert len(preimage(c4, {1, 2, 3}, word)) == 4
 
     def test_full_set_rejected(self, c4):
-        with pytest.raises(ValueError):
-            extend_subset(c4, (0,), {1, 2, 3, 4})
+        # the full set never leaves the polar cone, so the escape search fails
+        with pytest.raises(InternalContradiction):
+            extend_mask(c4, c4.full_mask, cone_sequence(c4, (0,)))
 
     def test_length_within_cone_bound_everywhere(self):
         rng = random.Random(9)
@@ -371,7 +372,7 @@ class TestExtendSubset:
             for r in range(1, n):
                 for s in itertools.combinations(range(1, n + 1), r):
                     s = frozenset(s)
-                    escape_len, _ = ell(aut, None, s, cone=cone)
-                    word = extend_subset(aut, None, s, cone=cone)
+                    word, escape_len = extend_mask(aut, mask_of(s, n), cone)
+                    assert escape_len == ell(aut, None, s, cone=cone)[0]
                     assert len(word) <= cone.trans_len_k + escape_len + 1
                     assert len(preimage(aut, s, word)) > len(s)

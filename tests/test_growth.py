@@ -18,7 +18,6 @@ from synchro.growth import (
     excluded_and_duplicate,
     gamma_growth,
     scc_wcc,
-    to_dot,
     translen_k_bound,
     verify_growth_lemmas,
 )
@@ -261,12 +260,3 @@ class TestTransientBound:
             aut = random_st(n, 1, rng.choice((1, 2)), rng.randrange(1 << 20))
             cone = cone_sequence(aut)
             assert cone.trans_len_k <= translen_k_bound(aut, dim=cone.span_dim)
-
-
-class TestDot:
-    def test_render(self):
-        g = digraph(3, [(1, 2)])
-        text = to_dot(g)
-        assert "1 -> 2;" in text
-        assert text.startswith("digraph gamma {")
-        assert text.endswith("}\n")

@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 
 from synchro.linalg import (
     _cone_lp_feasible,
-    char_vector,
     in_cone,
-    in_polar_cone,
     in_span,
-    inner_product,
     orthogonal_complement,
     span_basis,
     unit_difference,
-    vector_times_matrix,
 )
+
+from oracles import char_vector, in_polar_cone, inner_product, vector_times_matrix
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12

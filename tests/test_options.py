@@ -18,16 +18,12 @@ OPTIONS = {
     "bounds.build_bounds_report(group_cap)",
     "bounds.build_bounds_report(subset_cap)",
     "bounds.build_bounds_report(with_exact)",
-    "bounds.extensibility_bound_check(a_set)",
     "bounds.synthesize_reset_word(a_set)",
     "cli.main(argv)",
     "cones.cone_sequence(a_set)",
     "cones.ell(a_set)",
     "cones.ell(cone)",
     "cones.ell(s)",
-    "cones.extend_subset(a_set)",
-    "cones.extend_subset(cone)",
-    "cones.extend_subset(s)",
     "generate.enumerate_automata(dedup)",
     "generate.random_st(max_attempts)",
     "growth.LemmaReport.add(detail)",

@@ -1,7 +1,7 @@
 from functools import cached_property
 
 from synchro.automaton import Automaton
-from synchro.cones import escaped_masks
+from synchro.cones import cone_sequence, escaped_masks, extend_mask
 from synchro.generate import cerny, random_st
 from synchro.verify import (
     lemma_suite,
@@ -43,6 +43,29 @@ class TestLemmaSuite:
         assert inst.ok, inst.failures
         statuses = {c.name: c.status for c in inst.checks}
         assert statuses["cone_digraph_bridge"] == "n/a"
+
+    def test_extension_within_2n_minus_3_passes(self):
+        for aut in (cerny(6), random_st(8, 1, 1, seed=5)):
+            inst = lemma_suite(aut)
+            assert inst.ok, inst.failures
+            assert inst.by_name("extension_within_2n_minus_3").status == "pass"
+
+    def test_extension_within_2n_minus_3_is_tight_on_cerny3(self):
+        aut = cerny(3)
+        assert lemma_suite(aut).by_name("extension_within_2n_minus_3").status == "pass"
+        cone = cone_sequence(aut)
+        longest = max(len(extend_mask(aut, mask, cone)[0]) for mask in range(1, aut.full_mask))
+        assert longest == 3 == 2 * aut.n - 3
+
+    def test_extension_within_2n_minus_3_needs_defect_at_most_one(self):
+        aut = Automaton(("a", "b"), ((1, 2, 0), (0, 0, 0)))
+        check = lemma_suite(aut).by_name("extension_within_2n_minus_3")
+        assert check.status == "n/a"
+        assert "defect 2" in check.detail
+
+    def test_extension_within_2n_minus_3_needs_three_states(self):
+        check = lemma_suite(cerny(2)).by_name("extension_within_2n_minus_3")
+        assert check.status == "n/a"
 
     def test_sampled_mode_on_small_instance(self):
         # 2^15 subsets is the first size past the exhaustive limit
