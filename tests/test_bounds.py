@@ -10,7 +10,7 @@ from synchro.bounds import (
     build_bounds_report,
     synthesize_reset_word,
 )
-from synchro.cones import cone_sequence
+from synchro.cones import cone_sequence, extend_mask
 from synchro.errors import (
     CapExceeded,
     NotSynchronizing,
@@ -19,7 +19,7 @@ from synchro.errors import (
 )
 from synchro.generate import cerny, random_st
 
-from oracles import apply_word
+from oracles import apply_word, preimage
 
 
 class TestBoundMain:
@@ -167,6 +167,34 @@ class TestSynthesize:
             steps = synthesize_reset_word(aut).steps
             assert len(steps) > 2
             assert all(len(step.word) <= 2 * aut.n - 3 for step in steps[1:])
+
+
+class TestExtensibilityAudit:
+    """Every nonempty proper subset extends within 2n - 3 letters (defect <= 1)."""
+
+    @staticmethod
+    def _longest_extension(aut, a_set=None):
+        cone = cone_sequence(aut, a_set)
+        longest = 0
+        checked = 0
+        for mask in range(1, aut.full_mask):
+            word, _ = extend_mask(aut, mask, cone)
+            states = {q + 1 for q in range(aut.n) if mask >> q & 1}
+            assert len(preimage(aut, states, word)) > len(states)
+            longest = max(longest, len(word))
+            checked += 1
+        return longest, checked
+
+    def test_six_state_family_exhaustive(self):
+        longest, checked = self._longest_extension(cerny(6), (0,))
+        assert checked == 2**6 - 2
+        assert longest <= 9 == 2 * 6 - 3
+
+    def test_eight_state_random(self):
+        aut = random_st(8, 1, 1, seed=5)
+        longest, checked = self._longest_extension(aut)
+        assert checked == 2**8 - 2
+        assert longest <= 13 == 2 * 8 - 3
 
 
 class TestBoundsReport:
