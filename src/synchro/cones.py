@@ -32,7 +32,7 @@ from .errors import (
     NotStronglyConnected,
     NotSynchronizing,
 )
-from .linalg import SubspaceBasis, Vector, in_cone, span_basis
+from .linalg import Vector, in_cone, span_basis
 from .permgroup import Perm, is_transitive, resolve_perm_set
 
 
@@ -91,9 +91,9 @@ class ConeReport:
     """Stabilization data for the generator sequence of one automaton.
 
     ``tiers[i]`` is the full generator set after i permutation shifts, so the
-    last tier is the limit set.  ``limit_span`` is the span of the limit
+    last tier is the limit set.  ``span_dim`` is the rank of the limit
     generators; when ``is_subspace`` is true (transitive permutation group)
-    the limit cone equals that span, so its polar cone is the orthogonal
+    the limit cone equals their span, so its polar cone is the orthogonal
     complement, of dimension ``n - span_dim``.
     """
 
@@ -106,7 +106,6 @@ class ConeReport:
     limit_generators: tuple[KVector, ...]
     is_subspace: bool
     span_dim: int
-    limit_span: SubspaceBasis
 
     @property
     def limit_vectors(self) -> tuple[Vector, ...]:
@@ -176,7 +175,6 @@ def cone_sequence(aut: Automaton, a_set: Sequence[int] | None = None) -> ConeRep
         level += 1
 
     vectors = [kv.vector for kv in order]
-    limit_span = span_basis(vectors, aut.n)
     return ConeReport(
         n=aut.n,
         a_letters=a_ids,
@@ -186,8 +184,7 @@ def cone_sequence(aut: Automaton, a_set: Sequence[int] | None = None) -> ConeRep
         tiers=tuple(tiers),
         limit_generators=tuple(order),
         is_subspace=is_transitive(perms, aut.n),
-        span_dim=limit_span.dim,
-        limit_span=limit_span,
+        span_dim=len(span_basis(vectors, aut.n)),
     )
 
 

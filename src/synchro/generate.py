@@ -14,6 +14,7 @@ from .errors import ResourceCap, RetryExhausted
 from .permgroup import is_transitive, perms_of
 
 ENUM_CAP = 1 << 21
+RANDOM_ST_ATTEMPTS = 5000
 
 
 def cerny(n: int) -> Automaton:
@@ -40,8 +41,6 @@ def random_st(
     n_perm_letters: int,
     n_defect1_letters: int,
     seed: int,
-    *,
-    max_attempts: int = 5000,
 ) -> Automaton:
     """A seeded random synchronizing automaton whose permutation letters act
     transitively and whose remaining letters each have defect exactly one.
@@ -49,7 +48,8 @@ def random_st(
     Permutation letters are drawn uniformly; defect-one letters are a random
     permutation with one state's image redirected onto another's, which
     excludes exactly one state and doubles exactly one fiber.  Draws repeat
-    until the transitivity and synchronization checks pass.
+    until the transitivity and synchronization checks pass, at most
+    ``RANDOM_ST_ATTEMPTS`` times.
     """
     if n < 2:
         raise ValueError("need at least 2 states")
@@ -59,7 +59,7 @@ def random_st(
         raise ValueError("need at least one defect-1 letter")
     rng = random.Random(seed)
     names = _letter_names(n_perm_letters + n_defect1_letters)
-    for attempt in range(1, max_attempts + 1):
+    for _ in range(RANDOM_ST_ATTEMPTS):
         rows = [tuple(rng.sample(range(n), n)) for _ in range(n_perm_letters)]
         if not is_transitive(rows, n):
             continue
@@ -76,7 +76,7 @@ def random_st(
         if is_synchronizing(aut):
             return aut
     raise RetryExhausted(
-        f"no ST automaton found in {max_attempts} attempts "
+        f"no ST automaton found in {RANDOM_ST_ATTEMPTS} attempts "
         f"(n={n}, perm={n_perm_letters}, defect1={n_defect1_letters}, seed={seed})"
     )
 

@@ -317,20 +317,21 @@ def verify_growth_lemmas(
 
     rank_ok = True
     rank_detail = ""
-    basis = span_basis([], n)
+    basis: tuple = ()
     previous: frozenset[Arc] = frozenset()
     for i, (level, deco) in enumerate(zip(trace.levels, trace.decompositions)):
-        for p, q in sorted(level.arcs - previous):
-            basis = basis.extended(unit_difference(p, q, n))
+        # levels only grow, so the last level's basis plus the new arcs spans this one
+        new = [unit_difference(p, q, n) for p, q in sorted(level.arcs - previous)]
+        basis = span_basis(basis + tuple(new), n)
         previous = level.arcs
         expected = n - len(deco.wccs)
-        if basis.dim != expected:
+        if len(basis) != expected:
             rank_ok = False
-            rank_detail = f"level {i}: rank {basis.dim} != {expected}"
+            rank_detail = f"level {i}: rank {len(basis)} != {expected}"
             break
-        complement = orthogonal_complement(basis)
-        chars = span_basis([tuple(1 if v in w else 0 for v in range(1, n + 1)) for w in deco.wccs], n)
-        if complement != chars:
+        comp = list(orthogonal_complement(basis, n))
+        chars = [tuple(1 if v in w else 0 for v in range(1, n + 1)) for w in deco.wccs]
+        if not len(span_basis(chars, n)) == len(comp) == len(span_basis(comp + chars, n)):
             rank_ok = False
             rank_detail = f"level {i}: complement differs from component span"
             break

@@ -1,22 +1,20 @@
-"""Exact rational vectors: spans, orthogonal complements and cone membership.
+"""Exact linear algebra on integer vectors: ranks, spans, orthogonal
+complements and cone membership.
 
-All arithmetic is over arbitrary-precision rationals (`fractions.Fraction`,
-with plain `int` admitted wherever it is exact); no operation ever rounds.
-Vectors are plain tuples, and a subspace is represented by its reduced row
-echelon basis, which is unique per subspace, so subspace equality is
-representation equality.
+Ranks and complements come from one Gauss-Jordan elimination on integer rows
+that divides each reduced row by the gcd of its entries, so no operation ever
+rounds and no rational arithmetic is needed.  Only the cone LP works over
+rationals.  Vectors are plain tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence, Union
+import math
+from typing import Iterable, Sequence
 
 from .automaton import reach
 
-Scalar = Union[int, Fraction]
-Vector = tuple[Scalar, ...]
+Vector = tuple[int, ...]
 
 
 def unit_difference(plus: int, minus: int, n: int) -> Vector:
@@ -27,117 +25,76 @@ def unit_difference(plus: int, minus: int, n: int) -> Vector:
     return tuple(out)
 
 
-def _rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Reduced row echelon form with leading-one pivots; drops zero rows."""
-    if not rows:
-        return []
-    n = len(rows[0])
-    pivot_row = 0
-    for col in range(n):
-        target = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col]:
-                target = r
-                break
-        if target is None:
+def _primitive(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _eliminate(
+    vectors: Iterable[Sequence[int]], n: int
+) -> tuple[list[int], list[tuple[int, list[int]]]]:
+    """Gauss-Jordan elimination of integer rows taken in input order.
+
+    Returns the indices of the inputs that add a pivot, and the reduced rows
+    as (pivot column, row) pairs.  Each reduced row is primitive (its entries
+    have gcd 1) and is zero in the pivot column of every other row.
+    """
+    picked: list[int] = []
+    reduced: list[tuple[int, list[int]]] = []
+    for index, v in enumerate(vectors):
+        if len(v) != n:
+            raise ValueError(f"vector of length {len(v)} in ambient dimension {n}")
+        row = list(v)
+        for col, red in reduced:
+            c = row[col]
+            if c:
+                d = red[col]
+                row = _primitive([d * x - c * y for x, y in zip(row, red)])
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is None:
             continue
-        rows[pivot_row], rows[target] = rows[target], rows[pivot_row]
-        pivot = rows[pivot_row][col]
-        if pivot != 1:
-            rows[pivot_row] = [v / pivot for v in rows[pivot_row]]
-        lead = rows[pivot_row]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], lead)]
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    return [row for row in rows[:pivot_row]]
+        row = _primitive(row)
+        c = row[col]
+        for i, (other_col, other) in enumerate(reduced):
+            e = other[col]
+            if e:
+                reduced[i] = (other_col, _primitive([c * x - e * y for x, y in zip(other, row)]))
+        picked.append(index)
+        reduced.append((col, row))
+    return picked, reduced
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Canonical (reduced row echelon) basis of a subspace of Q^n."""
-
-    rows: tuple[Vector, ...]
-    n: int
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def pivots(self) -> tuple[int, ...]:
-        out = []
-        for row in self.rows:
-            for j, v in enumerate(row):
-                if v:
-                    out.append(j)
-                    break
-        return tuple(out)
-
-    def extended(self, v: Sequence[Scalar]) -> "SubspaceBasis":
-        """Canonical basis of the span enlarged by one vector."""
-        if in_span(v, self):
-            return self
-        rows = [list(map(Fraction, row)) for row in self.rows]
-        rows.append(list(map(Fraction, v)))
-        return SubspaceBasis(tuple(tuple(r) for r in _rref(rows)), self.n)
-
-
-def span_basis(vectors: Sequence[Sequence[Scalar]], n: int | None = None) -> SubspaceBasis:
-    """Canonical echelon basis of the span of the given vectors."""
+def span_basis(vectors: Iterable[Sequence[int]], n: int) -> tuple[Sequence[int], ...]:
+    """The input vectors that add a pivot, in input order: a basis of the
+    span drawn from the inputs, so its length is the rank."""
     vectors = list(vectors)
-    if not vectors:
-        if n is None:
-            raise ValueError("ambient dimension required for an empty span")
-        return SubspaceBasis((), n)
-    width = len(vectors[0])
-    if n is not None and n != width:
-        raise ValueError(f"vectors of length {width} in ambient dimension {n}")
-    for v in vectors:
-        if len(v) != width:
-            raise ValueError("vectors of mixed lengths")
-    rows = _rref([list(map(Fraction, v)) for v in vectors])
-    return SubspaceBasis(tuple(tuple(r) for r in rows), width)
+    picked, _ = _eliminate(vectors, n)
+    return tuple(vectors[i] for i in picked)
 
 
-def in_span(v: Sequence[Scalar], basis: SubspaceBasis) -> bool:
-    """True iff ``v`` is a rational combination of the basis rows."""
-    if len(v) != basis.n:
-        raise ValueError(f"length mismatch: {len(v)} vs {basis.n}")
-    residue = list(map(Fraction, v))
-    for row, pivot in zip(basis.rows, basis.pivots()):
-        coeff = residue[pivot]
-        if coeff:
-            for j, w in enumerate(row):
-                if w:
-                    residue[j] -= coeff * w
-    return not any(residue)
-
-
-def orthogonal_complement(basis: SubspaceBasis) -> SubspaceBasis:
-    """Canonical basis of the null space of the matrix whose rows are ``basis``."""
-    n = basis.n
-    pivots = set(basis.pivots())
-    free_cols = [j for j in range(n) if j not in pivots]
-    vectors = []
-    for f in free_cols:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for row, p in zip(basis.rows, basis.pivots()):
+def orthogonal_complement(vectors: Iterable[Sequence[int]], n: int) -> tuple[Vector, ...]:
+    """A primitive integer basis of the null space of the matrix whose rows
+    are ``vectors``: one vector per non-pivot column, in column order."""
+    _, reduced = _eliminate(vectors, n)
+    pivot_cols = {col for col, _ in reduced}
+    out = []
+    for f in range(n):
+        if f in pivot_cols:
+            continue
+        scale = math.lcm(*(row[col] for col, row in reduced if row[f]))
+        v = [0] * n
+        v[f] = scale
+        for col, row in reduced:
             if row[f]:
-                v[p] = -Fraction(row[f])
-        vectors.append(v)
-    if not vectors:
-        return SubspaceBasis((), n)
-    return span_basis(vectors, n)
+                v[col] = -row[f] * scale // row[col]
+        out.append(tuple(_primitive(v)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
 # cones
 
-def _as_unit_difference(v: Sequence[Scalar]) -> tuple[int, int] | None:
+def _as_unit_difference(v: Sequence) -> tuple[int, int] | None:
     """Recognize a vector with one +1, one -1, zeros elsewhere (0-based)."""
     plus = minus = None
     for j, entry in enumerate(v):
@@ -168,13 +125,15 @@ def _reachability_membership(target: tuple[int, int], arcs: list[tuple[int, int]
     return bool(reach(succ, 1 << t) >> s & 1)
 
 
-def _cone_lp_feasible(v: Sequence[Scalar], gens: list[Sequence[Scalar]]) -> bool:
+def _cone_lp_feasible(v: Sequence, gens: list[Sequence]) -> bool:
     """Exact phase-one simplex: does some c >= 0 solve sum_j c_j g_j = v?
 
     Artificial variables start in the basis; Bland's rule guarantees
     termination, and feasibility is equivalent to driving their exact
     rational sum to zero.
     """
+    from fractions import Fraction
+
     n = len(v)
     m = len(gens)
     rows: list[list[Fraction]] = []
@@ -237,11 +196,12 @@ def _cone_lp_feasible(v: Sequence[Scalar], gens: list[Sequence[Scalar]]) -> bool
     return obj[-1] == 0
 
 
-def in_cone(v: Sequence[Scalar], gens: Iterable[Sequence[Scalar]]) -> bool:
+def in_cone(v: Sequence, gens: Iterable[Sequence]) -> bool:
     """Exact membership of ``v`` in the cone of nonnegative combinations.
 
-    When the target and every generator are unit-difference vectors the
-    flow-decomposition shortcut decides it; otherwise the exact simplex does.
+    Entries may be ints or exact rationals.  When the target and every
+    generator are unit-difference vectors the flow-decomposition shortcut
+    decides it; otherwise the exact simplex does.
     """
     gen_list = [tuple(g) for g in gens]
     for g in gen_list:

@@ -67,8 +67,8 @@ def perms_of(aut: Automaton, letters: Iterable[int] | None = None) -> tuple[Perm
     return resolve_perm_set(aut, letters)[1]
 
 
-def orbit(perms: Iterable[Perm], n: int, start: int = 0) -> frozenset[int]:
-    """Orbit of a 0-based point under the generated group.
+def orbit(perms: Iterable[Perm], n: int) -> frozenset[int]:
+    """Orbit of point 0 under the generated group.
 
     The group is finite, so every inverse is a positive power of its
     generator and the generators alone reach the whole orbit.
@@ -77,7 +77,7 @@ def orbit(perms: Iterable[Perm], n: int, start: int = 0) -> frozenset[int]:
     for p in perms:
         for q, img in enumerate(p):
             succ[q] |= 1 << img
-    mask = reach(succ, 1 << start)
+    mask = reach(succ, 1)
     return frozenset(q for q in range(n) if mask >> q & 1)
 
 

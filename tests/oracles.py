@@ -1,9 +1,13 @@
-"""Set- and matrix-form helpers that tests use as oracles.
+"""Set- and matrix-form helpers and a rational subspace layer that tests use
+as oracles.
 
-The library works on bitmasks and never needs these forms, so they live with
-the tests: states are 1-indexed sets, vectors plain tuples and matrices
-tuples of row tuples.
+The library works on bitmasks and integer elimination and never needs these
+forms, so they live with the tests: states are 1-indexed sets, vectors plain
+tuples and matrices tuples of row tuples.
 """
+
+from dataclasses import dataclass
+from fractions import Fraction
 
 from synchro.automaton import mask_of, states_of, word_image_mask, word_preimage_mask
 
@@ -64,3 +68,147 @@ def preimage_matrix(aut, word):
     Acting on row vectors from the right: char(S) [w] = char(S.w^-1).
     """
     return tuple(char_vector(preimage(aut, {q}, word), aut.n) for q in range(1, aut.n + 1))
+
+
+# ---------------------------------------------------------------------------
+# rational subspaces: a subspace is held as its reduced row echelon basis,
+# which is unique per subspace, so subspace equality is representation
+# equality
+
+def _rref(rows):
+    """Reduced row echelon form with leading-one pivots; drops zero rows."""
+    if not rows:
+        return []
+    n = len(rows[0])
+    pivot_row = 0
+    for col in range(n):
+        target = None
+        for r in range(pivot_row, len(rows)):
+            if rows[r][col]:
+                target = r
+                break
+        if target is None:
+            continue
+        rows[pivot_row], rows[target] = rows[target], rows[pivot_row]
+        pivot = rows[pivot_row][col]
+        if pivot != 1:
+            rows[pivot_row] = [v / pivot for v in rows[pivot_row]]
+        lead = rows[pivot_row]
+        for r in range(len(rows)):
+            if r != pivot_row and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [v - factor * w for v, w in zip(rows[r], lead)]
+        pivot_row += 1
+        if pivot_row == len(rows):
+            break
+    return [row for row in rows[:pivot_row]]
+
+
+@dataclass(frozen=True)
+class SubspaceBasis:
+    """Canonical (reduced row echelon) basis of a subspace of Q^n."""
+
+    rows: tuple
+    n: int
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def pivots(self):
+        out = []
+        for row in self.rows:
+            for j, v in enumerate(row):
+                if v:
+                    out.append(j)
+                    break
+        return tuple(out)
+
+    def extended(self, v):
+        """Canonical basis of the span enlarged by one vector."""
+        if in_span(v, self):
+            return self
+        rows = [list(map(Fraction, row)) for row in self.rows]
+        rows.append(list(map(Fraction, v)))
+        return SubspaceBasis(tuple(tuple(r) for r in _rref(rows)), self.n)
+
+
+def rref_basis(vectors, n):
+    """Canonical echelon basis of the span of the given vectors."""
+    vectors = list(vectors)
+    for v in vectors:
+        if len(v) != n:
+            raise ValueError(f"vector of length {len(v)} in ambient dimension {n}")
+    rows = _rref([list(map(Fraction, v)) for v in vectors])
+    return SubspaceBasis(tuple(tuple(r) for r in rows), n)
+
+
+def in_span(v, basis):
+    """True iff ``v`` is a rational combination of the basis rows."""
+    if len(v) != basis.n:
+        raise ValueError(f"length mismatch: {len(v)} vs {basis.n}")
+    residue = list(map(Fraction, v))
+    for row, pivot in zip(basis.rows, basis.pivots()):
+        coeff = residue[pivot]
+        if coeff:
+            for j, w in enumerate(row):
+                if w:
+                    residue[j] -= coeff * w
+    return not any(residue)
+
+
+def rref_complement(basis):
+    """Canonical basis of the null space of the matrix whose rows are ``basis``."""
+    n = basis.n
+    pivots = basis.pivots()
+    vectors = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for row, p in zip(basis.rows, pivots):
+            if row[f]:
+                v[p] = -Fraction(row[f])
+        vectors.append(v)
+    return rref_basis(vectors, n)
+
+
+# ---------------------------------------------------------------------------
+# escape of a subspace member under preimage matrices
+
+def escape_exists(mats, basis, x, n):
+    """True iff some word's matrices carry ``x`` out of ``basis``: the span of
+    the orbit of ``x`` is closed under every matrix, so it decides."""
+    span = rref_basis([x], n)
+    frontier = [x]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for m in mats:
+                u = vector_times_matrix(v, m)
+                if not in_span(u, span):
+                    span = span.extended(u)
+                    nxt.append(u)
+        frontier = nxt
+    return any(not in_span(row, basis) for row in span.rows)
+
+
+def shortest_escape(mats, basis, x, max_len):
+    """The least word length, at most ``max_len``, whose matrices carry ``x``
+    out of ``basis``; None if there is none."""
+    frontier = {x}
+    seen = {x}
+    for depth in range(1, max_len + 1):
+        nxt = set()
+        for v in frontier:
+            for m in mats:
+                u = vector_times_matrix(v, m)
+                if u in seen:
+                    continue
+                if not in_span(u, basis):
+                    return depth
+                seen.add(u)
+                nxt.add(u)
+        frontier = nxt
+    return None

@@ -14,15 +14,10 @@ from synchro.bounds import bound_main
 from synchro.cones import cone_sequence
 from synchro.generate import cerny
 from synchro.growth import gamma_growth
-from synchro.linalg import (
-    _cone_lp_feasible,
-    in_span,
-    span_basis,
-    unit_difference,
-)
+from synchro.linalg import _cone_lp_feasible, span_basis, unit_difference
 from synchro.verify import random_st_batch, suite_bounds, suite_enumerate, suite_lemmas
 
-from oracles import preimage_matrix, vector_times_matrix
+from oracles import escape_exists, preimage_matrix, rref_basis, shortest_escape
 
 SEED = 20260808
 
@@ -158,7 +153,7 @@ def test_criterion_6_cone_reachability_cross_check():
         trace = gamma_growth(aut)
         for level, deco in zip(trace.levels, trace.decompositions):
             vectors = [unit_difference(p, q, aut.n) for p, q in level.arcs]
-            rank = span_basis(vectors, aut.n).dim
+            rank = len(span_basis(vectors, aut.n))
             levels_checked += 1
             if rank != aut.n - len(deco.wccs):
                 failures.append(f"{label}: rank {rank} vs {aut.n - len(deco.wccs)}")
@@ -169,39 +164,6 @@ def test_criterion_6_cone_reachability_cross_check():
         if failures
         else f"1000 membership queries, {levels_checked} rank identities",
     )
-
-
-def _escape_exists(mats, basis, x, n):
-    span = span_basis([x], n)
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for m in mats:
-                u = vector_times_matrix(v, m)
-                if not in_span(u, span):
-                    span = span.extended(u)
-                    nxt.append(u)
-        frontier = nxt
-    return any(not in_span(row, basis) for row in span.rows)
-
-
-def _shortest_escape(mats, basis, x, max_len):
-    frontier = {x}
-    seen = {x}
-    for depth in range(1, max_len + 1):
-        nxt = set()
-        for v in frontier:
-            for m in mats:
-                u = vector_times_matrix(v, m)
-                if u in seen:
-                    continue
-                if not in_span(u, basis):
-                    return depth
-                seen.add(u)
-                nxt.add(u)
-        frontier = nxt
-    return None
 
 
 def test_criterion_7_subspace_escape_dimension_bound():
@@ -219,7 +181,7 @@ def test_criterion_7_subspace_escape_dimension_bound():
             tuple(rng.randrange(-2, 3) for _ in range(n))
             for _ in range(rng.randrange(1, n))
         ]
-        basis = span_basis(span_vectors, n)
+        basis = rref_basis(span_vectors, n)
         if basis.dim == 0 or basis.dim == n:
             continue
         coeffs = [rng.randrange(-2, 3) for _ in basis.rows]
@@ -229,10 +191,10 @@ def test_criterion_7_subspace_escape_dimension_bound():
         )
         if not any(x):
             continue
-        if not _escape_exists(mats, basis, x, n):
+        if not escape_exists(mats, basis, x, n):
             continue
         checked += 1
-        depth = _shortest_escape(mats, basis, x, basis.dim)
+        depth = shortest_escape(mats, basis, x, basis.dim)
         if depth is None:
             failures.append(
                 f"pair {checked}: no escape within dim {basis.dim} (n={n})"

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from synchro import generate
 from synchro.automaton import is_strongly_connected, is_synchronizing, reset_threshold_exact
 from synchro.errors import ResourceCap, RetryExhausted
 from synchro.generate import (
@@ -55,13 +56,14 @@ class TestRandomSt:
         aut = random_st(2, 1, 1, 0)
         assert is_synchronizing(aut)
 
-    def test_guards(self):
+    def test_guards(self, monkeypatch):
         with pytest.raises(ValueError):
             random_st(4, 0, 1, 0)
         with pytest.raises(ValueError):
             random_st(4, 1, 0, 0)
+        monkeypatch.setattr(generate, "RANDOM_ST_ATTEMPTS", 1)
         with pytest.raises(RetryExhausted):
-            random_st(8, 1, 1, 0, max_attempts=1)
+            random_st(8, 1, 1, 0)
 
 
 class TestEnumeration:

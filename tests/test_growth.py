@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -208,6 +209,28 @@ class TestGrowthLemmas:
         assert report.ok
         assert report.by_name("weak_equals_strong_at_limit").status == "n/a"
         assert report.by_name("incidence_rank_matches_weak_components").status == "pass"
+
+    def test_rank_check_compares_component_spans(self, c4):
+        # swap two states between weak components at a level: the component
+        # count, and with it the rank identity, still holds, so only the
+        # complement-span comparison sees the wrong components
+        trace = gamma_growth(c4, (0,))
+        deco = trace.decompositions[0]
+        assert len(deco.wccs) == 3
+        a, b = next(w for w in deco.wccs if len(w) == 2)
+        c = next(q for q in range(1, 5) if q not in (a, b) and frozenset({q}) in deco.wccs)
+        wrong = (frozenset({a, c}), frozenset({b})) + tuple(
+            w for w in deco.wccs if w not in ({a, b}, {c})
+        )
+        tampered = dataclasses.replace(
+            trace,
+            decompositions=(dataclasses.replace(deco, wccs=wrong),) + trace.decompositions[1:],
+        )
+        check = verify_growth_lemmas(c4, (0,), trace=tampered).by_name(
+            "incidence_rank_matches_weak_components"
+        )
+        assert check.status == "fail"
+        assert check.detail == "level 0: complement differs from component span"
 
     def test_random_st_all_pass(self):
         rng = random.Random(29)

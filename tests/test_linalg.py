@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -10,13 +11,20 @@ from hypothesis import strategies as st
 from synchro.linalg import (
     _cone_lp_feasible,
     in_cone,
-    in_span,
     orthogonal_complement,
     span_basis,
     unit_difference,
 )
 
-from oracles import char_vector, in_polar_cone, inner_product, vector_times_matrix
+from oracles import (
+    char_vector,
+    in_polar_cone,
+    in_span,
+    inner_product,
+    rref_basis,
+    rref_complement,
+    vector_times_matrix,
+)
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -54,7 +62,7 @@ def gaussian_rank(vectors):
 
 
 CYCLE_VECTORS = [(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (-1, 0, 0, 1)]
-SUM_ZERO_BASIS = span_basis(CYCLE_VECTORS, 4)
+SUM_ZERO_BASIS = rref_basis(CYCLE_VECTORS, 4)
 
 
 class TestCharAndInner:
@@ -93,20 +101,28 @@ class TestCharAndInner:
 
 class TestSpan:
     def test_empty_is_zero_subspace(self):
-        basis = span_basis([], 4)
-        assert basis.dim == 0
+        assert span_basis([], 4) == ()
 
     def test_cycle_vectors_have_rank_three(self):
+        assert len(span_basis(CYCLE_VECTORS, 4)) == 3
         assert SUM_ZERO_BASIS.dim == 3
         assert gaussian_rank(CYCLE_VECTORS) == 3
 
     def test_collinear_vectors(self):
-        assert span_basis([(2, 0), (1, 0)], 2).dim == 1
+        assert len(span_basis([(2, 0), (1, 0)], 2)) == 1
+
+    def test_picks_the_first_independent_inputs(self):
+        vecs = [(0, 0, 0), (2, 0, 2), (1, 0, 1), (0, 3, 0), (1, 1, 1), (0, 0, 5)]
+        assert span_basis(vecs, 3) == ((2, 0, 2), (0, 3, 0), (0, 0, 5))
 
     def test_canonical_form_is_representation_equality(self):
         b1 = span_basis([(1, 1, 0), (0, 1, 1)], 3)
         b2 = span_basis([(1, 0, -1), (0, 2, 2)], 3)
-        assert b1 == b2
+        assert rref_basis(b1, 3) == rref_basis(b2, 3)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            span_basis([(1, 0, 0), (1, 0)], 3)
 
     def test_rank_matches_reference_on_random_input(self):
         rng = random.Random(21)
@@ -116,7 +132,7 @@ class TestSpan:
                 tuple(rng.randrange(-3, 4) for _ in range(n))
                 for _ in range(rng.randrange(1, 6))
             ]
-            assert span_basis(vecs, n).dim == gaussian_rank(vecs)
+            assert len(span_basis(vecs, n)) == gaussian_rank(vecs)
 
 
 class TestInSpan:
@@ -136,17 +152,13 @@ class TestInSpan:
 
 class TestOrthogonalComplement:
     def test_of_zero_subspace(self):
-        basis = orthogonal_complement(span_basis([], 3))
-        assert basis.dim == 3
+        assert orthogonal_complement([], 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_of_sum_zero_subspace(self):
-        comp = orthogonal_complement(SUM_ZERO_BASIS)
-        assert comp.dim == 1
-        assert comp == span_basis([(1, 1, 1, 1)], 4)
+        assert orthogonal_complement(CYCLE_VECTORS, 4) == ((1, 1, 1, 1),)
 
     def test_of_full_space(self):
-        full = span_basis([(1, 0), (0, 1)], 2)
-        assert orthogonal_complement(full).dim == 0
+        assert orthogonal_complement([(1, 0), (0, 1)], 2) == ()
 
     def test_double_complement_random(self):
         rng = random.Random(31)
@@ -156,8 +168,8 @@ class TestOrthogonalComplement:
                 tuple(rng.randrange(-3, 4) for _ in range(n))
                 for _ in range(rng.randrange(1, 5))
             ]
-            basis = span_basis(vecs, n)
-            assert orthogonal_complement(orthogonal_complement(basis)) == basis
+            twice = orthogonal_complement(orthogonal_complement(vecs, n), n)
+            assert rref_basis(twice, n) == rref_basis(vecs, n)
 
     def test_dimension_identity(self):
         rng = random.Random(32)
@@ -167,8 +179,54 @@ class TestOrthogonalComplement:
                 tuple(rng.randrange(-2, 3) for _ in range(n))
                 for _ in range(rng.randrange(1, 5))
             ]
+            assert len(span_basis(vecs, n)) + len(orthogonal_complement(vecs, n)) == n
+
+
+def random_integer_matrix(rng, n):
+    """Rows of length n drawn to reach the elimination's corner cases: small
+    or +-10^12 entries, zero rows, and rows planted as small integer
+    combinations of drawn rows so the rank falls short of the row count."""
+    bound = rng.choice((1, 3, 10**12))
+    drawn = []
+    rows = []
+    for _ in range(rng.randrange(0, n + 3)):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append((0,) * n)
+        elif kind < 0.4 and drawn:
+            coeffs = [rng.randint(-3, 3) for _ in drawn]
+            rows.append(tuple(sum(c * r[j] for c, r in zip(coeffs, drawn)) for j in range(n)))
+        else:
+            drawn.append(tuple(rng.randint(-bound, bound) for _ in range(n)))
+            rows.append(drawn[-1])
+    rng.shuffle(rows)
+    return rows
+
+
+class TestEliminationAgainstRationalRREF:
+    """The integer elimination against the rational RREF it replaced."""
+
+    def test_seeded_matrices(self):
+        rng = random.Random(1968)
+        kinds = set()
+        for trial in range(2000):
+            n = trial % 8 + 1
+            vecs = [] if trial < 8 else random_integer_matrix(rng, n)
+            oracle = rref_basis(vecs, n)
             basis = span_basis(vecs, n)
-            assert basis.dim + orthogonal_complement(basis).dim == n
+            assert len(basis) == oracle.dim, vecs
+            it = iter(vecs)
+            assert all(any(v is w for w in it) for v in basis), "not inputs in order"
+            assert rref_basis(basis, n) == oracle, vecs
+            comp = orthogonal_complement(vecs, n)
+            assert all(type(x) is int for v in comp for x in v)
+            assert all(math.gcd(*v) == 1 for v in comp)
+            assert rref_basis(comp, n) == rref_complement(oracle), vecs
+            kinds.add(("empty", not vecs))
+            kinds.add(("deficient", oracle.dim < len(vecs)))
+            kinds.add(("huge", any(abs(x) > 10**9 for v in vecs for x in v)))
+            kinds.add(("zero row", any(not any(v) for v in vecs)))
+        assert all((kind, True) in kinds for kind in ("empty", "deficient", "huge", "zero row"))
 
 
 def reachable(arcs, src, dst):
@@ -339,7 +397,7 @@ class TestPolarCone:
                 for _ in range(rng.randrange(1, 4))
             ]
             closed = gens + [tuple(-x for x in g) for g in gens]
-            comp = orthogonal_complement(span_basis(gens, n))
+            comp = rref_basis(orthogonal_complement(gens, n), n)
             v = tuple(rng.randrange(-3, 4) for _ in range(n))
             assert in_polar_cone(v, closed) == in_span(
                 v, comp

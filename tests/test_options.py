@@ -25,17 +25,14 @@ OPTIONS = {
     "cones.ell(cone)",
     "cones.ell(s)",
     "generate.enumerate_automata(dedup)",
-    "generate.random_st(max_attempts)",
     "growth.LemmaReport.add(detail)",
     "growth.gamma_growth(a_set)",
     "growth.translen_k_bound(a_set)",
     "growth.translen_k_bound(dim)",
     "growth.verify_growth_lemmas(a_set)",
     "growth.verify_growth_lemmas(trace)",
-    "linalg.span_basis(n)",
     "permgroup.cayley_diameters(cap)",
     "permgroup.group_closure(cap)",
-    "permgroup.orbit(start)",
     "permgroup.perms_of(letters)",
     "permgroup.resolve_perm_set(letters)",
     "verify.lemma_suite(a_set)",

@@ -54,14 +54,15 @@ def reference_is_strongly_connected(aut):
     return True
 
 
-def reference_orbit(perms, n, start=0):
-    """The former implementation: DFS under the generators and their inverses."""
+def reference_orbit(perms, n):
+    """The former implementation: DFS from point 0 under the generators and
+    their inverses."""
     gens = []
     for p in perms:
         gens.append(p)
         gens.append(inverse(p))
-    seen = {start}
-    stack = [start]
+    seen = {0}
+    stack = [0]
     while stack:
         q = stack.pop()
         for g in gens:
@@ -151,8 +152,7 @@ def test_orbit_matches_reference():
     for _ in range(400):
         n = rng.randrange(1, 9)
         perms = [tuple(rng.sample(range(n), n)) for _ in range(rng.randrange(0, 4))]
-        start = rng.randrange(n)
-        assert orbit(perms, n, start) == reference_orbit(perms, n, start)
+        assert orbit(perms, n) == reference_orbit(perms, n)
 
 
 def test_reachability_membership_matches_reference():
