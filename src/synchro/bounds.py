@@ -16,7 +16,6 @@ from .automaton import (
     Automaton,
     Word,
     is_synchronizing,
-    reset_threshold_exact,
     word_image_mask,
     word_preimage_mask,
 )
@@ -28,12 +27,7 @@ from .errors import (
     NotTransitive,
     UnsupportedAlphabet,
 )
-from .permgroup import (
-    DEFAULT_GROUP_CAP,
-    cayley_diameters,
-    is_transitive,
-    perms_of,
-)
+from .permgroup import cayley_diameters, is_transitive, perms_of
 
 
 @dataclass(frozen=True)
@@ -58,26 +52,18 @@ class SynthesisResult:
     within_bound: bool
 
 
-def bound_main(
-    aut: Automaton,
-    a_set: Sequence[int] | None = None,
-    *,
-    cone: ConeReport | None = None,
-) -> int:
+def bound_main(cone: ConeReport) -> int:
     """1 + (n-2) * (n - dim + transient) from the stabilized cone."""
-    if cone is None:
-        cone = cone_sequence(aut, a_set)
     if not cone.is_subspace:
         raise NotTransitive("bound needs a transitive permutation set")
-    n = aut.n
+    n = cone.n
     return 1 + (n - 2) * (n - cone.span_dim + cone.trans_len_k) if n >= 2 else 0
 
 
-def bound_rystsov(
-    aut: Automaton, a_set: Sequence[int] | None = None, cap: int = DEFAULT_GROUP_CAP
-) -> int:
-    """1 + (n-2) * (n - 1 + d) with d the exact-power generating diameter."""
-    perms = perms_of(aut, a_set)
+def bound_rystsov(aut: Automaton, cap: int) -> int:
+    """1 + (n-2) * (n - 1 + d) with d the exact-power generating diameter of
+    the group of all defect-0 letters, if its order is at most ``cap``."""
+    perms = perms_of(aut)
     if not is_transitive(perms, aut.n):
         raise NotTransitive("bound needs a transitive permutation set")
     return rystsov_value(aut.n, cayley_diameters(perms, aut.n, cap).exact_power)
@@ -147,7 +133,7 @@ def synthesize_reset_word(aut: Automaton, a_set: Sequence[int] | None = None) ->
     verified = word_image_mask(aut, aut.full_mask, reset_word).bit_count() == 1
     if not verified:
         raise InternalContradiction("synthesized word does not reset the automaton")
-    bound = bound_main(aut, cone.a_letters, cone=cone)
+    bound = bound_main(cone)
     return SynthesisResult(
         word=reset_word,
         length=len(reset_word),
@@ -177,40 +163,23 @@ class BoundsReport:
     bound_rystsov_prefix: int | None
     bound_defect1: int | None
     square_bound: int
-    rt_exact: int | None = None
-    rt_witness: Word | None = None
 
 
-def build_bounds_report(
-    aut: Automaton,
-    a_set: Sequence[int] | None = None,
-    *,
-    cone: ConeReport | None = None,
-    group_cap: int = DEFAULT_GROUP_CAP,
-    with_exact: bool = False,
-    subset_cap: int | None = None,
-) -> BoundsReport:
-    """Aggregate every applicable bound; group-cap overruns leave the
-    diameter-based entries unset rather than failing the report."""
-    if cone is None:
-        cone = cone_sequence(aut, a_set)
+def build_bounds_report(aut: Automaton, cone: ConeReport, group_cap: int) -> BoundsReport:
+    """Aggregate every applicable bound for the permutation set of ``cone``;
+    group-cap overruns leave the diameter-based entries unset rather than
+    failing the report."""
     if not cone.is_subspace:
         raise NotTransitive("bounds need a transitive permutation set")
     n = aut.n
-    perms = perms_of(aut, cone.a_letters)
     try:
-        diameters = cayley_diameters(perms, n, group_cap)
+        diameters = cayley_diameters(perms_of(aut, cone.a_letters), n, group_cap)
     except CapExceeded:
         diameters = None
     try:
         defect1 = bound_defect1(aut)
     except UnsupportedAlphabet:
         defect1 = None
-    rt = witness = None
-    if with_exact:
-        kwargs = {} if subset_cap is None else {"cap": subset_cap}
-        rt, witness = reset_threshold_exact(aut, **kwargs)
-    main = bound_main(aut, cone.a_letters, cone=cone)
     return BoundsReport(
         n=n,
         a_letters=cone.a_letters,
@@ -220,11 +189,9 @@ def build_bounds_report(
         group_order=diameters.order if diameters else None,
         d_exact_power=diameters.exact_power if diameters else None,
         d_prefix_closed=diameters.prefix_closed if diameters else None,
-        bound_main=main,
+        bound_main=bound_main(cone),
         bound_rystsov_exact=rystsov_value(n, diameters.exact_power) if diameters else None,
         bound_rystsov_prefix=rystsov_value(n, diameters.prefix_closed) if diameters else None,
         bound_defect1=defect1,
         square_bound=(n - 1) ** 2,
-        rt_exact=rt,
-        rt_witness=witness,
     )

@@ -208,8 +208,6 @@ def _bounds_dict(report: BoundsReport, aut: Automaton) -> dict:
         "bound_rystsov_prefix": report.bound_rystsov_prefix,
         "bound_defect1": report.bound_defect1,
         "square_bound": report.square_bound,
-        "rt_exact": report.rt_exact,
-        "rt_witness": aut.word_names(report.rt_witness) if report.rt_witness is not None else None,
     }
 
 
@@ -235,14 +233,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except SynchroError as exc:
         growth = None
         growth_reason = str(exc)
-    bounds = build_bounds_report(
-        aut,
-        a_ids,
-        cone=cone,
-        group_cap=args.group_cap,
-        with_exact=args.exact,
-        subset_cap=args.subset_cap,
-    )
+    bounds = _bounds_dict(build_bounds_report(aut, cone, args.group_cap), aut)
+    bounds["rt_exact"] = bounds["rt_witness"] = None
+    if args.exact:
+        rt, witness = reset_threshold_exact(aut, args.subset_cap or DEFAULT_SUBSET_CAP)
+        bounds["rt_exact"], bounds["rt_witness"] = rt, aut.word_names(witness)
     report = {
         "command": "analyze",
         "automaton": _automaton_dict(aut),
@@ -256,7 +251,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "cone": _cone_dict(cone, aut),
         "growth": growth,
         "growth_unavailable_reason": growth_reason,
-        "bounds": _bounds_dict(bounds, aut),
+        "bounds": bounds,
     }
     lines = [
         f"states: {aut.n}",

@@ -200,14 +200,10 @@ def _proper_subset_mask(aut: Automaton, s: Sequence[int] | frozenset[int]) -> in
 
 
 def ell(
-    aut: Automaton,
-    a_set: Sequence[int] | None = None,
-    s: Sequence[int] | frozenset[int] = (),
-    *,
-    cone: ConeReport | None = None,
+    aut: Automaton, cone: ConeReport, s: Sequence[int] | frozenset[int]
 ) -> tuple[int, Word]:
     """Length (and witness) of a shortest word taking the preimage of ``s``
-    outside the polar cone of the limit cone.
+    outside the polar cone of the limit cone of ``cone``.
 
     Preimages are explored under every letter of the alphabet, not just the
     permutation set, because escape may need deficient steps.  If the
@@ -217,10 +213,7 @@ def ell(
         raise NotSynchronizing("polar escape needs a synchronizing automaton")
     if not is_strongly_connected(aut):
         raise NotStronglyConnected("polar escape needs a strongly connected automaton")
-    mask = _proper_subset_mask(aut, s)
-    if cone is None:
-        cone = cone_sequence(aut, a_set)
-    return polar_escape(aut, cone.limit_vectors, mask)
+    return polar_escape(aut, cone.limit_vectors, _proper_subset_mask(aut, s))
 
 
 def polar_escape(aut: Automaton, vectors: Sequence[Vector], mask: int) -> tuple[int, Word]:

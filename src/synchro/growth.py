@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .automaton import Automaton, Word, letters_of_defect, reach, states_of
-from .cones import cone_sequence, k_vector
+from .cones import k_vector
 from .errors import (
     NoDefectOneLetters,
     NotTransitive,
@@ -173,11 +173,13 @@ def excluded_and_duplicate(aut: Automaton, word: Word) -> tuple[int, int]:
 class GrowthTrace:
     """The digraph growth sequence up to stabilization.
 
-    ``levels[i]`` holds the arcs reachable with at most i permutation shifts;
-    the trace stops at the first level whose shift adds nothing, so the last
-    entry is the limit digraph.  Indexing past the end is clamped to it.
+    ``levels[i]`` holds the arcs reachable with at most i shifts by the
+    permutations ``perms``; the trace stops at the first level whose shift
+    adds nothing, so the last entry is the limit digraph.  Indexing past the
+    end is clamped to it.
     """
 
+    perms: tuple[Perm, ...]
     levels: tuple[Digraph, ...]
     decompositions: tuple[ComponentDecomposition, ...]
 
@@ -214,8 +216,9 @@ def shift_arc(arc: Arc, perm: Perm) -> Arc:
     return perm[p - 1] + 1, perm[q - 1] + 1
 
 
-def gamma_growth(aut: Automaton, a_set: Sequence[int] | None = None) -> GrowthTrace:
-    """Grow the excluded/duplicate arc digraph under the permutation letters.
+def gamma_growth(aut: Automaton, a_set: Sequence[int] | None) -> GrowthTrace:
+    """Grow the excluded/duplicate arc digraph under the permutation letters
+    ``a_set`` (None: every defect-0 letter).
 
     Level zero holds one arc per defect-one letter; appending a permutation
     letter to a defect-one word shifts both distinguished states by it, so
@@ -243,6 +246,7 @@ def gamma_growth(aut: Automaton, a_set: Sequence[int] | None = None) -> GrowthTr
         levels.append(digraph(aut.n, arcs))
         frontier = new
     return GrowthTrace(
+        perms=perms,
         levels=tuple(levels),
         decompositions=tuple(scc_wcc(g) for g in levels),
     )
@@ -261,10 +265,9 @@ class LemmaCheck:
 class LemmaReport:
     """The lemma checks run on one instance, in the order they ran."""
 
-    label: str = ""
     checks: list[LemmaCheck] = field(default_factory=list)
 
-    def add(self, name: str, ok: bool, detail: str = "") -> None:
+    def add(self, name: str, ok: bool, detail: str) -> None:
         self.checks.append(LemmaCheck(name, "pass" if ok else "fail", detail))
 
     def add_na(self, name: str, why: str) -> None:
@@ -285,21 +288,14 @@ class LemmaReport:
         raise KeyError(name)
 
 
-def verify_growth_lemmas(
-    aut: Automaton,
-    a_set: Sequence[int] | None = None,
-    *,
-    trace: GrowthTrace | None = None,
-) -> LemmaReport:
-    """Run every growth-structure theorem as an executable check.
+def verify_growth_lemmas(trace: GrowthTrace) -> LemmaReport:
+    """Run every growth-structure theorem on ``trace`` as an executable check.
 
     All of these are proved facts, so any failure indicates an implementation
     bug.  Checks whose hypothesis needs a transitive permutation set are
-    reported n/a when it is not.
+    reported n/a when the permutations of the trace are not.
     """
-    perms = perms_of(aut, a_set)
-    if trace is None:
-        trace = gamma_growth(aut, a_set)
+    perms = trace.perms
     n = trace.n
     transitive = is_transitive(perms, n)
     report = LemmaReport()
@@ -387,19 +383,17 @@ def verify_growth_lemmas(
     return report
 
 
-def translen_k_bound(aut: Automaton, a_set: Sequence[int] | None = None, *, dim: int | None = None) -> int:
+def translen_k_bound(aut: Automaton, a_set: Sequence[int] | None, dim: int) -> int:
     """Component-counting bound on the cone transient length.
 
-    Valid when every letter has defect at most one and the permutation set is
-    transitive; ``dim`` is the limit-cone dimension (computed via the cone
-    sequence when not supplied).
+    Valid when every letter has defect at most one and the permutation set
+    ``a_set`` (None: every defect-0 letter) is transitive; ``dim`` is the
+    dimension of its limit cone.
     """
     if any(d > 1 for d in aut.letter_defects):
         raise UnsupportedAlphabet("a letter of defect 2 or more is present")
     if not is_transitive(perms_of(aut, a_set), aut.n):
         raise NotTransitive("bound requires a transitive permutation set")
-    if dim is None:
-        dim = cone_sequence(aut, a_set).span_dim
     n = aut.n
     if 2 * dim == n:
         return n

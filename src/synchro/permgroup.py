@@ -134,9 +134,7 @@ class CayleyDiameters:
     order: int
 
 
-def cayley_diameters(
-    perms: Sequence[Perm], n: int, cap: int = DEFAULT_GROUP_CAP
-) -> CayleyDiameters:
+def cayley_diameters(perms: Sequence[Perm], n: int, cap: int) -> CayleyDiameters:
     """One BFS from the identity gives both readings.
 
     The largest BFS distance is ``prefix_closed``.  Every element other than

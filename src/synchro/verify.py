@@ -40,12 +40,19 @@ from .growth import (
     verify_growth_lemmas,
 )
 from .linalg import in_cone, unit_difference
-from .permgroup import is_transitive, resolve_perm_set
 
 
 # The lemma audit enumerates every subset while 2^n is at most this, and
 # samples beyond it.
 EXHAUSTIVE_SUBSETS = 1 << 14
+
+# The checks of the lemma audit's subset sweep, in the order they run on each
+# subset.
+ESCAPE, EXTENSION, TWO_N = SWEEP_CHECKS = (
+    "escape_length_within_codimension",
+    "extension_length_within_cone_bound",
+    "extension_within_2n_minus_3",
+)
 
 
 @dataclass
@@ -65,10 +72,9 @@ class SuiteReport:
 # ---------------------------------------------------------------------------
 # per-instance lemma audit
 
-def lemma_suite(
-    aut: Automaton, a_set: Sequence[int] | None = None, *, label: str = ""
-) -> LemmaReport:
-    """Audit one automaton against every executable lemma that applies.
+def lemma_suite(aut: Automaton) -> LemmaReport:
+    """Audit one automaton, with every defect-0 letter in the permutation set,
+    against every executable lemma that applies.
 
     Subset-quantified checks run exhaustively while 2^n is at most
     ``EXHAUSTIVE_SUBSETS`` and on 2048 seeded random subsets beyond it; the
@@ -76,21 +82,20 @@ def lemma_suite(
     letter has defect at most one and n >= 3, ``extension_within_2n_minus_3``
     checks that every nonempty proper subset extends within 2n - 3 letters,
     the step behind the bound 2n^2 - 7n + 7 = 1 + (n - 2)(2n - 3).  Checks
-    whose hypotheses do not hold for this instance report n/a.
+    whose hypotheses do not hold for this instance report n/a, and so do the
+    subset-sweep checks that a failure stopped before the last subset.
     """
     n = aut.n
     k_letters = len(aut.letters)
     size = 1 << n
     exhaustive = size <= EXHAUSTIVE_SUBSETS
-    a_ids, perms = resolve_perm_set(aut, a_set)
-    transitive = is_transitive(perms, n)
     sync = is_synchronizing(aut)
     connected = is_strongly_connected(aut)
     defects = aut.letter_defects
     has_deficient = any(d > 0 for d in defects)
     defect_at_most_1 = all(d <= 1 for d in defects)
     has_defect_1 = any(d == 1 for d in defects)
-    report = LemmaReport(label or f"n{n}")
+    report = LemmaReport()
 
     rng = random.Random(0x5EED ^ (n << 16) ^ k_letters)
     if exhaustive:
@@ -138,13 +143,10 @@ def lemma_suite(
         report.add_na("limit_generators_sum_zero", "no deficient letter")
         return report
 
-    cone = cone_sequence(aut, a_ids)
+    cone = cone_sequence(aut)
+    transitive = cone.is_subspace
     vectors = cone.limit_vectors
-    report.add(
-        "limit_generators_sum_zero",
-        all(sum(v) == 0 for v in vectors),
-        "",
-    )
+    report.add("limit_generators_sum_zero", all(sum(v) == 0 for v in vectors), "")
     report.add(
         "t_transient_at_least_k_transient",
         cone.trans_len_t >= cone.trans_len_k,
@@ -152,14 +154,14 @@ def lemma_suite(
     )
 
     # stabilization certificate: one-step equality at the reported index,
-    # strict growth just before it
+    # strict growth just before it; tiers past the set transient repeat the last
     j = cone.trans_len_k
-    tier_j = cone.tiers[j]
-    tier_next = cone.tiers[j + 1] if j + 1 < len(cone.tiers) else tier_j
+    last = len(cone.tiers) - 1
+    tier_j, tier_next = cone.tiers[min(j, last)], cone.tiers[min(j + 1, last)]
     cert_ok = all(in_cone(v, list(tier_j)) for v in tier_next - tier_j)
     if cert_ok and j > 0:
-        tier_prev = cone.tiers[j - 1]
-        cert_ok = any(not in_cone(v, list(tier_prev)) for v in cone.tiers[j] - tier_prev)
+        tier_prev = cone.tiers[min(j - 1, last)]
+        cert_ok = any(not in_cone(v, list(tier_prev)) for v in tier_j - tier_prev)
     report.add("k_transient_certificate", cert_ok, f"index {j}")
 
     if transitive:
@@ -203,53 +205,53 @@ def lemma_suite(
     else:
         two_n_na = None
     if sync and connected and transitive and exhaustive:
+        # one sweep over the nonempty proper subsets; an escape or extension
+        # failure ends it, so the checks that have not failed by then did not
+        # run to the end and report n/a
         bound_codim = n - 1 - cone.span_dim
-        escape_ok = True
-        escape_detail = ""
-        extend_ok = True
-        extend_detail = ""
-        two_n_ok = True
-        two_n_detail = ""
+        failed: dict[str, str] = {}
+        stopped = ""
         for mask in range(1, size - 1):
+            failure = None
             if dist[mask] is None or dist[mask] > bound_codim:
-                escape_ok = False
-                escape_detail = f"subset {sorted(states_of(mask))}: escape {dist[mask]}"
+                failure = ESCAPE, f"escape {dist[mask]}"
+            else:
+                witness, escaped_mask = escape_word_from_steps(step, mask)
+                word = cone.extension_word(escaped_mask, witness)
+                if word is None:
+                    failure = EXTENSION, "no extending word"
+                elif len(word) > cone.trans_len_k + dist[mask] + 1:
+                    failure = EXTENSION, f"length {len(word)}"
+                elif word_preimage_mask(aut, mask, word).bit_count() <= mask.bit_count():
+                    failure = EXTENSION, "no growth"
+                elif two_n_na is None and len(word) > 2 * n - 3 and TWO_N not in failed:
+                    failed[TWO_N] = f"subset {sorted(states_of(mask))}: length {len(word)}"
+            if failure is not None:
+                name, why = failure
+                subset = sorted(states_of(mask))
+                failed[name] = f"subset {subset}: {why}"
+                stopped = f"not run past subset {subset}: {name} failed there"
                 break
-            witness, escaped_mask = escape_word_from_steps(step, mask)
-            word = cone.extension_word(escaped_mask, witness)
-            if word is None:
-                extend_ok = False
-                extend_detail = f"subset {sorted(states_of(mask))}: no extending word"
-            elif len(word) > cone.trans_len_k + dist[mask] + 1:
-                extend_ok = False
-                extend_detail = f"subset {sorted(states_of(mask))}: length {len(word)}"
-            elif word_preimage_mask(aut, mask, word).bit_count() <= mask.bit_count():
-                extend_ok = False
-                extend_detail = f"subset {sorted(states_of(mask))}: no growth"
-            if not extend_ok:
-                break
-            if two_n_ok and two_n_na is None and len(word) > 2 * n - 3:
-                two_n_ok = False
-                two_n_detail = f"subset {sorted(states_of(mask))}: length {len(word)}"
-        report.add("escape_length_within_codimension", escape_ok, escape_detail)
-        report.add("extension_length_within_cone_bound", extend_ok, extend_detail)
-        if two_n_na is None:
-            report.add("extension_within_2n_minus_3", two_n_ok, two_n_detail)
-        else:
-            report.add_na("extension_within_2n_minus_3", two_n_na)
+        for name in SWEEP_CHECKS:
+            if name == TWO_N and two_n_na is not None:
+                report.add_na(name, two_n_na)
+            elif name in failed:
+                report.add(name, False, failed[name])
+            elif stopped:
+                report.add_na(name, stopped)
+            else:
+                report.add(name, True, "")
     else:
         why = (
             "needs synchronizing, strongly connected, transitive, exhaustive"
             f" (sync={sync}, connected={connected}, transitive={transitive})"
         )
-        for name in ("escape_length_within_codimension", "extension_length_within_cone_bound",
-                     "extension_within_2n_minus_3"):
+        for name in SWEEP_CHECKS:
             report.add_na(name, why)
 
     if has_defect_1:
-        trace = gamma_growth(aut, a_ids)
-        growth_report = verify_growth_lemmas(aut, a_ids, trace=trace)
-        report.checks.extend(growth_report.checks)
+        trace = gamma_growth(aut, cone.a_letters)
+        report.checks.extend(verify_growth_lemmas(trace).checks)
         if defect_at_most_1:
             bridge_ok = len(cone.tiers) == len(trace.levels)
             bridge_detail = ""
@@ -273,7 +275,7 @@ def lemma_suite(
                 f"dim {cone.span_dim}, weak components {len(trace.limit_decomposition.wccs)}",
             )
             if transitive:
-                bound39 = translen_k_bound(aut, a_ids, dim=cone.span_dim)
+                bound39 = translen_k_bound(aut, cone.a_letters, cone.span_dim)
                 report.add(
                     "k_transient_within_digraph_bound",
                     cone.trans_len_k <= bound39,
@@ -315,7 +317,7 @@ def random_st_batch(
 # ---------------------------------------------------------------------------
 # suites
 
-def suite_cerny(n_max: int = 8) -> SuiteReport:
+def suite_cerny(n_max: int) -> SuiteReport:
     """Exact thresholds and bound tightness across the cycle-plus-merge family."""
     if n_max < 2:
         raise ValueError("need at least 2 states")
@@ -331,14 +333,14 @@ def suite_cerny(n_max: int = 8) -> SuiteReport:
             fails.append(f"n={n}: reset threshold {rt} != {square}")
         if word_image_mask(aut, aut.full_mask, witness).bit_count() != 1:
             fails.append(f"n={n}: witness does not reset")
-        tight = bound_main(aut, (0,))
+        tight = bound_main(cone_sequence(aut, (0,)))
         if tight != square:
             fails.append(f"n={n}: dimension bound {tight} != {square}")
     report.details["family_sizes"] = sizes
     return report
 
 
-def suite_enumerate(n: int, letters: int = 2) -> SuiteReport:
+def suite_enumerate(n: int, letters: int) -> SuiteReport:
     """Exhaustive square-bound sweep over all n-state tables."""
     report = SuiteReport(
         suite="enumerate", seed=None, params={"n": n, "letters": letters}
@@ -360,11 +362,7 @@ def suite_enumerate(n: int, letters: int = 2) -> SuiteReport:
     return report
 
 
-def suite_bounds(
-    count: int = 200,
-    ns: Sequence[int] = (5, 6, 7, 8, 9, 10),
-    seed: int = 0,
-) -> SuiteReport:
+def suite_bounds(count: int, ns: Sequence[int], seed: int) -> SuiteReport:
     """Soundness chain on random ST instances:
     exact threshold <= synthesized length <= dimension bound <= diameter bound,
     plus the defect-one quadratic bound.  The diameter bound is skipped for
@@ -388,7 +386,7 @@ def suite_bounds(
         if result.length > result.bound:
             fails.append(f"{label}: synthesized {result.length} > bound {result.bound}")
         try:
-            ryst = bound_rystsov(aut, cap=group_cap)
+            ryst = bound_rystsov(aut, group_cap)
         except CapExceeded:
             ryst = None
         if ryst is not None:
@@ -404,11 +402,7 @@ def suite_bounds(
 
 
 def suite_lemmas(
-    count: int = 200,
-    ns: Sequence[int] = (5, 6, 7, 8, 9, 10),
-    seed: int = 0,
-    *,
-    exhaustive_n_max: int = 0,
+    count: int, ns: Sequence[int], seed: int, *, exhaustive_n_max: int = 0
 ) -> SuiteReport:
     """Per-instance lemma audit over random ST instances, optionally joined by
     every exhaustively enumerated 2-letter ST instance up to a given size."""
@@ -425,7 +419,7 @@ def suite_lemmas(
     check_count = 0
     for label, aut in instances:
         report.checked += 1
-        for c in lemma_suite(aut, label=label).checks:
+        for c in lemma_suite(aut).checks:
             check_count += 1
             if c.status == "fail":
                 report.failures.append(f"{label}: {c.name} failed ({c.detail})")

@@ -58,7 +58,7 @@ def test_criterion_2_family_bound_tightness():
             failures.append(f"n={n}: dim {cone.span_dim} != {n - 1}")
         if cone.trans_len_k != n - 1:
             failures.append(f"n={n}: transient {cone.trans_len_k} != {n - 1}")
-        value = bound_main(aut, (0,), cone=cone)
+        value = bound_main(cone)
         if value != (n - 1) ** 2:
             failures.append(f"n={n}: bound {value} != {(n - 1) ** 2}")
     report(
@@ -73,7 +73,7 @@ def test_criterion_3_exhaustive_small_conjecture_check():
     failures = []
     counts = {}
     for n in (3, 4):
-        suite = suite_enumerate(n)
+        suite = suite_enumerate(n, 2)
         counts[n] = (suite.checked, suite.details["synchronizing"])
         failures.extend(suite.failures)
     elapsed = time.time() - start
@@ -150,7 +150,7 @@ def test_criterion_6_cone_reachability_cross_check():
     # incidence-rank identity on every level of generated growth traces
     levels_checked = 0
     for label, aut in random_st_batch(40, (5, 6, 7, 8), SEED + 1):
-        trace = gamma_growth(aut)
+        trace = gamma_growth(aut, None)
         for level, deco in zip(trace.levels, trace.decompositions):
             vectors = [unit_difference(p, q, aut.n) for p, q in level.arcs]
             rank = len(span_basis(vectors, aut.n))

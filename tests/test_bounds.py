@@ -18,13 +18,14 @@ from synchro.errors import (
     UnsupportedAlphabet,
 )
 from synchro.generate import cerny, random_st
+from synchro.permgroup import DEFAULT_GROUP_CAP
 
 from oracles import apply_word, preimage
 
 
 class TestBoundMain:
     def test_family_value(self, c4):
-        assert bound_main(c4, (0,)) == 9
+        assert bound_main(cone_sequence(c4, (0,))) == 9
 
     def test_family_closed_form(self):
         # dim = n-1 and transient = n-1 give 1 + (n-2) n = (n-1)^2
@@ -33,44 +34,44 @@ class TestBoundMain:
             cone = cone_sequence(aut, (0,))
             assert cone.span_dim == n - 1
             assert cone.trans_len_k == n - 1
-            assert bound_main(aut, (0,), cone=cone) == (n - 1) ** 2
+            assert bound_main(cone) == (n - 1) ** 2
 
     def test_two_states_bound_is_one(self):
-        assert bound_main(cerny(2), (0,)) == 1
+        assert bound_main(cone_sequence(cerny(2), (0,))) == 1
 
     def test_nontransitive_rejected(self):
         perm = (2, 3, 4, 5, 0, 1)
         merge = (1, 1, 2, 3, 4, 5)
         aut = Automaton(("a", "b"), (perm, merge))
         with pytest.raises(NotTransitive):
-            bound_main(aut, (0,))
+            bound_main(cone_sequence(aut, (0,)))
 
 
 class TestBoundRystsov:
     def test_family_value_exact_power(self, c4):
-        assert bound_rystsov(c4, (0,)) == 15
+        assert bound_rystsov(c4, DEFAULT_GROUP_CAP) == 15
 
     def test_prefix_reading_via_report(self, c4):
-        report = build_bounds_report(c4, (0,))
+        report = build_bounds_report(c4, cone_sequence(c4, (0,)), DEFAULT_GROUP_CAP)
         assert report.bound_rystsov_exact == 15
         assert report.bound_rystsov_prefix == 13
         assert report.d_exact_power == 4
         assert report.d_prefix_closed == 3
 
     def test_two_states(self):
-        assert bound_rystsov(cerny(2), (0,)) == 1
+        assert bound_rystsov(cerny(2), DEFAULT_GROUP_CAP) == 1
 
     def test_cap_exceeded(self):
         aut = cerny(6)
         with pytest.raises(CapExceeded):
-            bound_rystsov(aut, (0,), cap=2)
+            bound_rystsov(aut, 2)
 
     def test_dominates_dimension_bound(self):
         rng = random.Random(61)
         for _ in range(20):
             n = rng.randrange(4, 9)
             aut = random_st(n, 1, 1, rng.randrange(1 << 20))
-            assert bound_main(aut) <= bound_rystsov(aut, cap=10**5)
+            assert bound_main(cone_sequence(aut)) <= bound_rystsov(aut, 10**5)
 
 
 class TestBoundDefect1:
@@ -150,7 +151,7 @@ class TestSynthesize:
             rt, _ = reset_threshold_exact(aut)
             result = synthesize_reset_word(aut, (0,))
             assert rt <= result.length <= result.bound
-            assert result.bound <= bound_rystsov(aut, (0,))
+            assert result.bound <= bound_rystsov(aut, DEFAULT_GROUP_CAP)
 
     def test_soundness_chain_on_exhaustive_small_st(self):
         from synchro.generate import exhaustive_st_instances
@@ -198,15 +199,16 @@ class TestExtensibilityAudit:
 
 
 class TestBoundsReport:
-    def test_exact_threshold_included_on_request(self, c4):
-        report = build_bounds_report(c4, (0,), with_exact=True)
-        assert report.rt_exact == 9
-        assert report.rt_exact <= report.bound_main <= report.bound_rystsov_exact
+    def test_threshold_below_reported_bounds(self, c4):
+        report = build_bounds_report(c4, cone_sequence(c4, (0,)), DEFAULT_GROUP_CAP)
+        rt, _ = reset_threshold_exact(c4)
+        assert rt == 9
+        assert rt <= report.bound_main <= report.bound_rystsov_exact
         assert report.square_bound == 9
 
     def test_group_cap_leaves_diameters_unset(self):
         aut = cerny(7)
-        report = build_bounds_report(aut, (0,), group_cap=2)
+        report = build_bounds_report(aut, cone_sequence(aut, (0,)), 2)
         assert report.d_exact_power is None
         assert report.bound_rystsov_exact is None
         assert report.bound_main == 36

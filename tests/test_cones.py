@@ -224,27 +224,30 @@ def brute_force_escape_length(aut, vectors, s, max_len):
 class TestEscapeLength:
     def test_singletons_escape_immediately(self, c4):
         cone = cone_sequence(c4, (0,))
-        assert ell(c4, (0,), {1}, cone=cone) == (0, ())
+        assert ell(c4, cone, {1}) == (0, ())
 
     def test_every_proper_subset_escapes_immediately(self, c4):
         cone = cone_sequence(c4, (0,))
         for r in range(1, 4):
             for s in itertools.combinations(range(1, 5), r):
-                assert ell(c4, (0,), frozenset(s), cone=cone)[0] == 0
+                assert ell(c4, cone, frozenset(s))[0] == 0
 
-    def test_guards(self):
+    def test_guards(self, c4):
+        # the automaton is checked before the cone is read
+        cone = cone_sequence(c4, (0,))
         perm_only = Automaton(("a",), ((1, 0),))
         with pytest.raises(NotSynchronizing):
-            ell(perm_only, (0,), {1})
+            ell(perm_only, cone, {1})
         disconnected = Automaton(("a",), ((0, 0),))
         with pytest.raises(NotStronglyConnected):
-            ell(disconnected, (0,), {1})
+            ell(disconnected, cone, {1})
 
     def test_rejects_trivial_subsets(self, c4):
+        cone = cone_sequence(c4, (0,))
         with pytest.raises(ValueError):
-            ell(c4, (0,), set())
+            ell(c4, cone, set())
         with pytest.raises(ValueError):
-            ell(c4, (0,), {1, 2, 3, 4})
+            ell(c4, cone, {1, 2, 3, 4})
 
     def test_matches_brute_force_oracle(self):
         rng = random.Random(8)
@@ -261,7 +264,7 @@ class TestEscapeLength:
             cone = cone_sequence(aut, None)
             checked += 1
             s = frozenset(rng.sample(range(1, n + 1), rng.randrange(1, n)))
-            got_len, got_word = ell(aut, None, s, cone=cone)
+            got_len, got_word = ell(aut, cone, s)
             oracle = brute_force_escape_length(aut, cone.limit_vectors, s, got_len + 1)
             assert oracle == got_len
             escaped = preimage(aut, s, got_word)
@@ -271,7 +274,7 @@ class TestEscapeLength:
         cone = cone_sequence(c4, (0,))
         dist, step = ell_all(c4, cone.limit_vectors)
         for mask in range(1, 15):
-            got, _ = ell(c4, (0,), states_of(mask), cone=cone)
+            got, _ = ell(c4, cone, states_of(mask))
             assert dist[mask] == got
             _, escaped_mask = escape_word_from_steps(step, mask)
             assert dist[escaped_mask] == 0
@@ -345,6 +348,6 @@ class TestExtendSubset:
                 for s in itertools.combinations(range(1, n + 1), r):
                     s = frozenset(s)
                     word, escape_len = extend_mask(aut, mask_of(s, n), cone)
-                    assert escape_len == ell(aut, None, s, cone=cone)[0]
+                    assert escape_len == ell(aut, cone, s)[0]
                     assert len(word) <= cone.trans_len_k + escape_len + 1
                     assert len(preimage(aut, s, word)) > len(s)

@@ -191,13 +191,13 @@ class TestGrowth:
 
 class TestGrowthLemmas:
     def test_family_checks_pass(self, c4):
-        report = verify_growth_lemmas(c4, (0,))
+        report = verify_growth_lemmas(gamma_growth(c4, (0,)))
         assert report.ok
         assert report.by_name("strong_stable_late_when_few_components").status == "pass"
         assert report.by_name("strong_stable_by_n_when_many_components").status == "n/a"
 
     def test_two_state_family_hits_many_component_branch(self):
-        report = verify_growth_lemmas(cerny(2), (0,))
+        report = verify_growth_lemmas(gamma_growth(cerny(2), (0,)))
         assert report.ok
         assert report.by_name("strong_stable_by_n_when_many_components").status == "pass"
 
@@ -205,7 +205,7 @@ class TestGrowthLemmas:
         perm = (2, 3, 4, 5, 0, 1)
         merge = (1, 1, 2, 3, 4, 5)
         aut = Automaton(("a", "b"), (perm, merge))
-        report = verify_growth_lemmas(aut, (0,))
+        report = verify_growth_lemmas(gamma_growth(aut, (0,)))
         assert report.ok
         assert report.by_name("weak_equals_strong_at_limit").status == "n/a"
         assert report.by_name("incidence_rank_matches_weak_components").status == "pass"
@@ -226,7 +226,7 @@ class TestGrowthLemmas:
             trace,
             decompositions=(dataclasses.replace(deco, wccs=wrong),) + trace.decompositions[1:],
         )
-        check = verify_growth_lemmas(c4, (0,), trace=tampered).by_name(
+        check = verify_growth_lemmas(tampered).by_name(
             "incidence_rank_matches_weak_components"
         )
         assert check.status == "fail"
@@ -237,18 +237,20 @@ class TestGrowthLemmas:
         for _ in range(10):
             n = rng.randrange(4, 9)
             aut = random_st(n, rng.choice((1, 2)), 1, rng.randrange(1 << 20))
-            assert verify_growth_lemmas(aut).ok
+            assert verify_growth_lemmas(gamma_growth(aut, None)).ok
 
 
 class TestTransientBound:
     def test_family_bound(self, c4):
-        assert translen_k_bound(c4, (0,)) == 4
-        assert cone_sequence(c4, (0,)).trans_len_k <= 4
+        cone = cone_sequence(c4, (0,))
+        assert translen_k_bound(c4, (0,), cone.span_dim) == 4
+        assert cone.trans_len_k <= 4
 
     def test_half_dimension_case(self):
         aut = cerny(2)
-        assert cone_sequence(aut, (0,)).span_dim * 2 == aut.n
-        assert translen_k_bound(aut, (0,)) == 2
+        dim = cone_sequence(aut, (0,)).span_dim
+        assert dim * 2 == aut.n
+        assert translen_k_bound(aut, (0,), dim) == 2
 
     def test_half_dimension_four_states(self):
         # merging across the diagonal of the 4-cycle splits the limit digraph
@@ -258,23 +260,23 @@ class TestTransientBound:
         cone = cone_sequence(aut, (0,))
         trace = gamma_growth(aut, (0,))
         assert cone.span_dim == 2 and trace.d == 2
-        assert translen_k_bound(aut, (0,), dim=cone.span_dim) == 4
+        assert translen_k_bound(aut, (0,), cone.span_dim) == 4
         assert cone.trans_len_k <= 4
-        report = verify_growth_lemmas(aut, (0,))
+        report = verify_growth_lemmas(trace)
         assert report.ok
         assert report.by_name("strong_stable_by_n_when_many_components").status == "pass"
 
     def test_defect_two_rejected(self):
         aut = Automaton(("a", "b"), ((1, 2, 0), (0, 0, 0)))
         with pytest.raises(UnsupportedAlphabet):
-            translen_k_bound(aut, (0,))
+            translen_k_bound(aut, (0,), cone_sequence(aut, (0,)).span_dim)
 
     def test_nontransitive_rejected(self):
         perm = (2, 3, 4, 5, 0, 1)
         merge = (1, 1, 2, 3, 4, 5)
         aut = Automaton(("a", "b"), (perm, merge))
         with pytest.raises(NotTransitive):
-            translen_k_bound(aut, (0,))
+            translen_k_bound(aut, (0,), cone_sequence(aut, (0,)).span_dim)
 
     def test_bound_holds_on_random_instances(self):
         rng = random.Random(31)
@@ -282,4 +284,4 @@ class TestTransientBound:
             n = rng.randrange(4, 9)
             aut = random_st(n, 1, rng.choice((1, 2)), rng.randrange(1 << 20))
             cone = cone_sequence(aut)
-            assert cone.trans_len_k <= translen_k_bound(aut, dim=cone.span_dim)
+            assert cone.trans_len_k <= translen_k_bound(aut, cone.a_letters, cone.span_dim)

@@ -1,51 +1,25 @@
 """Every keyword option of the library is pinned here: a defaulted parameter
 of a public function or method is a value a caller can set, so adding or
-removing one takes a deliberate edit of ``OPTIONS``."""
+removing one takes a deliberate edit of ``OPTIONS``.  An entry point computes
+each fact once and passes it down, so no public function computes a missing
+argument itself either."""
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "synchro"
 
+# each option with its reason
 OPTIONS = {
-    "automaton.reset_threshold_exact(cap)",
-    "bounds.bound_main(a_set)",
-    "bounds.bound_main(cone)",
-    "bounds.bound_rystsov(a_set)",
-    "bounds.bound_rystsov(cap)",
-    "bounds.build_bounds_report(a_set)",
-    "bounds.build_bounds_report(cone)",
-    "bounds.build_bounds_report(group_cap)",
-    "bounds.build_bounds_report(subset_cap)",
-    "bounds.build_bounds_report(with_exact)",
-    "bounds.synthesize_reset_word(a_set)",
-    "cli.main(argv)",
-    "cones.cone_sequence(a_set)",
-    "cones.ell(a_set)",
-    "cones.ell(cone)",
-    "cones.ell(s)",
-    "generate.enumerate_automata(dedup)",
-    "growth.LemmaReport.add(detail)",
-    "growth.gamma_growth(a_set)",
-    "growth.translen_k_bound(a_set)",
-    "growth.translen_k_bound(dim)",
-    "growth.verify_growth_lemmas(a_set)",
-    "growth.verify_growth_lemmas(trace)",
-    "permgroup.cayley_diameters(cap)",
-    "permgroup.group_closure(cap)",
-    "permgroup.perms_of(letters)",
-    "permgroup.resolve_perm_set(letters)",
-    "verify.lemma_suite(a_set)",
-    "verify.lemma_suite(label)",
-    "verify.suite_bounds(count)",
-    "verify.suite_bounds(ns)",
-    "verify.suite_bounds(seed)",
-    "verify.suite_cerny(n_max)",
-    "verify.suite_enumerate(letters)",
-    "verify.suite_lemmas(count)",
-    "verify.suite_lemmas(exhaustive_n_max)",
-    "verify.suite_lemmas(ns)",
-    "verify.suite_lemmas(seed)",
+    "automaton.reset_threshold_exact(cap)",  # the CLI's --subset-cap and the suites' default
+    "bounds.synthesize_reset_word(a_set)",  # the CLI's --perm-set and the suites' default
+    "cli.main(argv)",  # sys.argv or a caller's list
+    "cones.cone_sequence(a_set)",  # the CLI's --perm-set and the suites' default
+    "generate.enumerate_automata(dedup)",  # canonical-form dedup, ROADMAP item 5
+    "permgroup.group_closure(cap)",  # the brute-force group-order test oracle
+    "permgroup.perms_of(letters)",  # every defect-0 letter or a cone's letters
+    "permgroup.resolve_perm_set(letters)",  # every defect-0 letter or --perm-set
+    "verify.suite_lemmas(exhaustive_n_max)",  # a param of the golden verify-lemmas report
 }
 
 
@@ -58,21 +32,73 @@ def defaulted_parameters(func):
     return names
 
 
-def options(source, module):
-    """``module.func(param)`` for each defaulted parameter of a public
-    top-level function or public method of a public class in ``source``."""
-    found = set()
+def public_functions(source, module):
+    """``(qualified name, node)`` for each public top-level function and each
+    public method of a public class in ``source``."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in ast.parse(source).body:
         if isinstance(node, functions) and not node.name.startswith("_"):
-            found |= {f"{module}.{node.name}({p})" for p in defaulted_parameters(node)}
+            yield f"{module}.{node.name}", node
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             for item in node.body:
                 if isinstance(item, functions) and not item.name.startswith("_"):
-                    found |= {
-                        f"{module}.{node.name}.{item.name}({p})"
-                        for p in defaulted_parameters(item)
-                    }
+                    yield f"{module}.{node.name}.{item.name}", item
+
+
+def options(source, module):
+    """``module.func(param)`` for each defaulted parameter of a public
+    function or method in ``source``."""
+    return {
+        f"{name}({p})"
+        for name, func in public_functions(source, module)
+        for p in defaulted_parameters(func)
+    }
+
+
+def _none_tested(test):
+    """The name that ``test`` compares ``is None``, else None."""
+    if (
+        isinstance(test, ast.Compare)
+        and isinstance(test.left, ast.Name)
+        and len(test.ops) == 1
+        and isinstance(test.ops[0], ast.Is)
+        and isinstance(test.comparators[0], ast.Constant)
+        and test.comparators[0].value is None
+    ):
+        return test.left.id
+    return None
+
+
+def _assigned_names(statements):
+    """Names bound by an assignment anywhere inside ``statements``."""
+    names = set()
+    for statement in statements:
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.NamedExpr)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                names |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return names
+
+
+def compute_if_absent(source, module):
+    """``module.func(param)`` for each public function or method in
+    ``source`` that assigns to its own parameter inside ``if param is None:``,
+    i.e. that computes a missing argument itself instead of taking it from
+    its caller."""
+    found = set()
+    for name, func in public_functions(source, module):
+        args = func.args
+        params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        for node in ast.walk(func):
+            if isinstance(node, ast.If):
+                param = _none_tested(node.test)
+                if param in params and param in _assigned_names(node.body):
+                    found.add(f"{name}({param})")
     return found
 
 
@@ -96,3 +122,39 @@ def test_library_options_are_pinned():
         found |= options(path.read_text(), path.stem)
     assert sorted(found - OPTIONS) == [], "new option: add it to OPTIONS on purpose"
     assert sorted(OPTIONS - found) == [], "removed option: drop it from OPTIONS"
+
+
+def test_guard_finds_parameters_computed_if_absent():
+    source = (
+        "def f(a, b=None, *, c=None, d=None):\n"
+        "    if b is None:\n"
+        "        b = compute(a)\n"
+        "    for _ in a:\n"
+        "        if c is None:\n"
+        "            c, e = 1, 2\n"
+        "    if d is None:\n"
+        "        raise ValueError(d)\n"
+        "def g(x=None):\n"
+        "    y = None\n"
+        "    if y is None:\n"
+        "        y = 1\n"
+        "    if x is not None:\n"
+        "        x = 2\n"
+        "    if x is None:\n"
+        "        z = 3\n"
+        "def _private(p=None):\n"
+        "    if p is None:\n"
+        "        p = 1\n"
+        "class C:\n"
+        "    def m(self, q):\n"
+        "        if q is None:\n"
+        "            q += 1\n"
+    )
+    assert compute_if_absent(source, "mod") == {"mod.f(b)", "mod.f(c)", "mod.C.m(q)"}
+
+
+def test_no_parameter_is_computed_if_absent():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= compute_if_absent(path.read_text(), path.stem)
+    assert sorted(found) == [], "take the value from the caller instead of computing it"

@@ -5,6 +5,7 @@ import pytest
 from synchro.automaton import Automaton
 from synchro.errors import CapExceeded, NotAPermutation
 from synchro.permgroup import (
+    DEFAULT_GROUP_CAP,
     cayley_diameters,
     compose,
     group_closure,
@@ -178,33 +179,33 @@ class TestClosure:
 
 class TestCayleyDiameter:
     def test_four_cycle_needs_full_lap_for_identity(self):
-        d = cayley_diameters([FOUR_CYCLE], 4)
+        d = cayley_diameters([FOUR_CYCLE], 4, DEFAULT_GROUP_CAP)
         assert d.exact_power == 4
         assert d.prefix_closed == 3
         assert d.order == 4
 
     def test_identity_generator(self):
-        assert cayley_diameters([identity(2)], 2).exact_power == 1
+        assert cayley_diameters([identity(2)], 2, DEFAULT_GROUP_CAP).exact_power == 1
 
     def test_identity_padding_collapses_readings(self):
-        d = cayley_diameters([SWAP01[:2] + (), identity(2)], 2)
+        d = cayley_diameters([SWAP01[:2] + (), identity(2)], 2, DEFAULT_GROUP_CAP)
         assert d.exact_power == 1
         assert d.prefix_closed == 1
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            cayley_diameters([FOUR_CYCLE], 4, cap=2)
+            cayley_diameters([FOUR_CYCLE], 4, 2)
 
     def test_empty_generating_set_rejected(self):
         with pytest.raises(ValueError):
-            cayley_diameters([], 3)
+            cayley_diameters([], 3, DEFAULT_GROUP_CAP)
 
     def test_matches_cumulative_power_oracle(self):
         rng = random.Random(13)
         for _ in range(25):
             n = rng.randrange(2, 5)
             gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randrange(1, 3))]
-            got = cayley_diameters(gens, n)
+            got = cayley_diameters(gens, n, DEFAULT_GROUP_CAP)
             exact, prefix = cumulative_power_diameters(gens, n)
             assert got.exact_power == exact
             assert got.prefix_closed == prefix
@@ -213,7 +214,7 @@ class TestCayleyDiameter:
         # every element reachable within d letters, some element not at d-1
         for gens, n in ([(FOUR_CYCLE)], 4), ([SWAP01, THREE_CYCLE], 3):
             gens = [gens] if isinstance(gens[0], int) else list(gens)
-            d = cayley_diameters(gens, n)
+            d = cayley_diameters(gens, n, DEFAULT_GROUP_CAP)
             group = group_closure(gens, n)
             reach = {identity(n)}
             for step in range(d.prefix_closed):
@@ -226,7 +227,7 @@ class TestCayleyDiameter:
 
     def test_matches_two_bfs_reference(self):
         for gens, n in seeded_generating_sets(400, 17):
-            got = cayley_diameters(gens, n)
+            got = cayley_diameters(gens, n, DEFAULT_GROUP_CAP)
             assert (got.exact_power, got.prefix_closed, got.order) == two_bfs_diameters(
                 gens, n, 10**6
             ), (gens, n)
@@ -252,5 +253,5 @@ class TestCayleyDiameter:
 
         monkeypatch.setattr("synchro.permgroup.compose", counting)
         gens = [SWAP01, THREE_CYCLE, SWAP01]
-        assert cayley_diameters(gens, 3).order == 6
+        assert cayley_diameters(gens, 3, DEFAULT_GROUP_CAP).order == 6
         assert len(calls) == 6 * 2

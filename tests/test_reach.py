@@ -174,7 +174,7 @@ def test_scc_wcc_matches_reference():
     rng = random.Random(75)
     graphs = [random_digraph(rng, rng.randrange(1, 10)) for _ in range(400)]
     for _, aut in random_st_batch(20, (5, 6, 7, 8), 76):
-        graphs.extend(gamma_growth(aut).levels)
+        graphs.extend(gamma_growth(aut, None).levels)
     for g in graphs:
         deco = scc_wcc(g)
         assert deco.wcc_partition == reference_weak_components(g)

@@ -1,9 +1,19 @@
+import dataclasses
+import sys
+from collections import Counter
 from functools import cached_property
 
+import pytest
+
+from synchro import permgroup, verify
 from synchro.automaton import Automaton
-from synchro.cones import cone_sequence, escaped_masks, extend_mask
+from synchro.cones import ConeReport, KVector, cone_sequence, escaped_masks, extend_mask
 from synchro.generate import cerny, random_st
+from synchro.growth import digraph
 from synchro.verify import (
+    ESCAPE,
+    EXTENSION,
+    TWO_N,
     lemma_suite,
     random_st_batch,
     suite_bounds,
@@ -13,10 +23,107 @@ from synchro.verify import (
 )
 
 
+def tamper(monkeypatch, name, change):
+    """Make ``synchro.verify`` read ``change(result)`` wherever it calls ``name``."""
+    real = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args: change(real(*args)))
+
+
+def escape_distance(mask, value):
+    """An ``ell_all`` tamper that reports ``value`` as the escape distance of ``mask``."""
+
+    def change(result):
+        dist, step = result
+        dist = list(dist)
+        dist[mask] = value
+        return dist, step
+
+    return change
+
+
+def padded_extensions(cone):
+    """The cone of cerny(6) with every extension word led by a^6, which acts
+    as the identity: the words still grow their subsets and stay within the
+    cone bound once the transient is raised by 6, but exceed 2n - 3 = 9."""
+
+    class Padded(ConeReport):
+        def extension_word(self, escaped_mask, witness):
+            word = super().extension_word(escaped_mask, witness)
+            return None if word is None else (0,) * 6 + word
+
+    fields = {f.name: getattr(cone, f.name) for f in dataclasses.fields(cone)}
+    return Padded(**{**fields, "trans_len_k": cone.trans_len_k + 6})
+
+
+def with_decomposition_at(trace, i, deco):
+    """The trace padded with copies of its limit past level i, with ``deco``
+    as the component decomposition at level i."""
+    pad = max(0, i + 2 - len(trace.levels))
+    limit = trace.limit_decomposition
+    decos = list(trace.decompositions[:-1]) + [limit] * pad + [limit]
+    decos[i] = deco
+    return dataclasses.replace(
+        trace, levels=trace.levels + (trace.limit,) * pad, decompositions=tuple(decos)
+    )
+
+
+def with_arcs_at(trace, i, arcs):
+    levels = list(trace.levels)
+    levels[i] = digraph(trace.n, arcs)
+    return dataclasses.replace(trace, levels=tuple(levels))
+
+
+# (check, instance, reader in synchro.verify, tamper of what it returns); every
+# check passes on the untampered instance (TestLemmaSuite.test_family_instances_pass)
+TAMPERS = [
+    ("preimage_growth_identity", 6, "k_vector",
+     lambda kv: KVector((kv.vector[0] + 1,) + kv.vector[1:], kv.word)),
+    ("limit_generators_sum_zero", 6, "cone_sequence",
+     lambda c: dataclasses.replace(
+         c, limit_generators=c.limit_generators + (KVector((1, 0, 0, 0, 0, 0), (1,)),))),
+    ("t_transient_at_least_k_transient", 6, "cone_sequence",
+     lambda c: dataclasses.replace(c, trans_len_t=c.trans_len_k - 1)),
+    ("k_transient_certificate", 6, "cone_sequence",
+     lambda c: dataclasses.replace(c, trans_len_k=c.trans_len_k + 1)),
+    ("negation_closure_of_limit_cone", 6, "cone_sequence",
+     lambda c: dataclasses.replace(c, limit_generators=c.limit_generators[:1])),
+    # the preimage of state 2 under b is {1, 2}: it grows, so {2} escapes at once
+    ("polar_members_have_stable_preimages", 6, "ell_all", escape_distance(0b10, 1)),
+    (ESCAPE, 6, "ell_all", escape_distance(0b1, 99)),
+    # only the letter b is left as an extension candidate
+    (EXTENSION, 6, "cone_sequence", lambda c: dataclasses.replace(c, trans_len_k=0)),
+    (TWO_N, 6, "cone_sequence", padded_extensions),
+    ("cone_digraph_bridge", 6, "gamma_growth",
+     lambda t: with_arcs_at(t, t.transient, t.limit.arcs - {(6, 1)})),
+    ("limit_dim_matches_components", 6, "cone_sequence",
+     lambda c: dataclasses.replace(c, span_dim=c.span_dim - 1)),
+    # the digraph bound is 3 * dim - n - 1 = 8 for dim 5 and n 6
+    ("k_transient_within_digraph_bound", 6, "cone_sequence",
+     lambda c: dataclasses.replace(c, trans_len_k=9)),
+    # the shift of arc (1, 2) by the cycle a is (2, 3)
+    ("arc_shift_closure", 6, "gamma_growth", lambda t: with_arcs_at(t, 1, {(1, 2)})),
+    ("weak_equals_strong_at_limit", 6, "gamma_growth",
+     lambda t: dataclasses.replace(t, decompositions=t.decompositions[:-1] + (
+         dataclasses.replace(t.limit_decomposition, sccs=t.decompositions[0].sccs),))),
+    # checked at level n - d - 1 = 4
+    ("weak_components_stable_early", 6, "gamma_growth",
+     lambda t: with_decomposition_at(t, 4, t.decompositions[3])),
+    # checked at level n - 1 = 5, the limit
+    ("every_vertex_covered_early", 6, "gamma_growth",
+     lambda t: with_arcs_at(t, 5, t.levels[4].arcs)),
+    # d = 1 > n / 3 on two states; checked at level n = 2
+    ("strong_stable_by_n_when_many_components", 2, "gamma_growth",
+     lambda t: with_decomposition_at(t, 2, t.decompositions[0])),
+    # checked at level 2n - 3d - 1 = 8
+    ("strong_stable_late_when_few_components", 6, "gamma_growth",
+     lambda t: with_decomposition_at(t, 8, t.decompositions[0])),
+]
+
+
 class TestLemmaSuite:
     def test_family_instances_pass(self):
         for n in (2, 3, 4, 5, 6):
-            inst = lemma_suite(cerny(n), label=f"c{n}")
+            inst = lemma_suite(cerny(n))
             assert inst.ok, inst.failures
 
     def test_nontransitive_instance_marks_na_without_failing(self):
@@ -105,6 +212,63 @@ class TestLemmaSuite:
         assert calls == [6]
 
 
+    @pytest.mark.parametrize(
+        "check, n, reader, change", TAMPERS, ids=[t[0] for t in TAMPERS]
+    )
+    def test_tampered_fact_fails_its_check(self, monkeypatch, check, n, reader, change):
+        assert lemma_suite(cerny(n)).by_name(check).status == "pass"
+        tamper(monkeypatch, reader, change)
+        assert lemma_suite(cerny(n)).by_name(check).status == "fail"
+
+    def test_escape_failure_leaves_the_rest_of_the_sweep_na(self, monkeypatch):
+        tamper(monkeypatch, "ell_all", escape_distance(0b1, 99))
+        inst = lemma_suite(cerny(6))
+        assert inst.by_name(ESCAPE).status == "fail"
+        assert inst.by_name(ESCAPE).detail == "subset [1]: escape 99"
+        for name in (EXTENSION, TWO_N):
+            assert inst.by_name(name).status == "n/a"
+            assert inst.by_name(name).detail == (
+                "not run past subset [1]: escape_length_within_codimension failed there"
+            )
+
+    def test_extension_failure_leaves_the_rest_of_the_sweep_na(self, monkeypatch):
+        tamper(monkeypatch, "cone_sequence", lambda c: dataclasses.replace(c, trans_len_k=0))
+        inst = lemma_suite(cerny(6))
+        assert inst.by_name(EXTENSION).status == "fail"
+        assert inst.by_name(EXTENSION).detail == "subset [1]: no extending word"
+        for name in (ESCAPE, TWO_N):
+            assert inst.by_name(name).status == "n/a"
+            assert inst.by_name(name).detail == (
+                "not run past subset [1]: extension_length_within_cone_bound failed there"
+            )
+
+    def test_two_n_failure_does_not_stop_the_sweep(self, monkeypatch):
+        tamper(monkeypatch, "cone_sequence", padded_extensions)
+        inst = lemma_suite(cerny(6))
+        assert inst.by_name(TWO_N).status == "fail"
+        assert inst.by_name(TWO_N).detail == "subset [1]: length 12"
+        assert inst.by_name(ESCAPE).status == inst.by_name(EXTENSION).status == "pass"
+
+    def test_perm_set_resolved_and_tested_once_per_reader(self, monkeypatch):
+        # resolved by cone_sequence, gamma_growth and translen_k_bound; tested
+        # for transitivity by cone_sequence, verify_growth_lemmas and
+        # translen_k_bound (lemma_suite reads cone.is_subspace)
+        counts = Counter()
+        modules = [m for name, m in sys.modules.items() if name.startswith("synchro.")]
+        for name in ("resolve_perm_set", "is_transitive"):
+            real = getattr(permgroup, name)
+
+            def counting(*args, _real=real, _name=name):
+                counts[_name] += 1
+                return _real(*args)
+
+            for module in modules:
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counting)
+        assert lemma_suite(cerny(6)).ok
+        assert counts == {"resolve_perm_set": 3, "is_transitive": 3}
+
+
 class TestBatches:
     def test_batch_is_deterministic(self):
         a = random_st_batch(5, (4, 5), 7)
@@ -124,7 +288,7 @@ class TestSuites:
         assert report.checked == 5
 
     def test_enumerate_suite_small(self):
-        report = suite_enumerate(3)
+        report = suite_enumerate(3, 2)
         assert report.ok
         assert report.checked == 729
         assert report.details["synchronizing"] == 549
