@@ -60,7 +60,6 @@ from .permgroup import (
     group_closure,
     is_transitive,
     permutation_of_letter,
-    perms_of,
 )
 from .verify import lemma_suite, suite_bounds, suite_cerny, suite_enumerate, suite_lemmas
 

@@ -27,7 +27,7 @@ from .errors import (
     NotTransitive,
     UnsupportedAlphabet,
 )
-from .permgroup import cayley_diameters, is_transitive, perms_of
+from .permgroup import cayley_diameters
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,14 @@ class ExtensionStep:
 
 @dataclass(frozen=True)
 class SynthesisResult:
+    """A verified reset word, its extension chain, and the cone whose
+    dimension bound it meets."""
+
     word: Word
     length: int
     steps: tuple[ExtensionStep, ...]
     bound: int
-    dim: int
-    trans_len_k: int
+    cone: ConeReport
     verified: bool
     within_bound: bool
 
@@ -60,13 +62,12 @@ def bound_main(cone: ConeReport) -> int:
     return 1 + (n - 2) * (n - cone.span_dim + cone.trans_len_k) if n >= 2 else 0
 
 
-def bound_rystsov(aut: Automaton, cap: int) -> int:
+def bound_rystsov(cone: ConeReport, cap: int) -> int:
     """1 + (n-2) * (n - 1 + d) with d the exact-power generating diameter of
-    the group of all defect-0 letters, if its order is at most ``cap``."""
-    perms = perms_of(aut)
-    if not is_transitive(perms, aut.n):
+    the group of the permutations of ``cone``, if its order is at most ``cap``."""
+    if not cone.is_subspace:
         raise NotTransitive("bound needs a transitive permutation set")
-    return rystsov_value(aut.n, cayley_diameters(perms, aut.n, cap).exact_power)
+    return rystsov_value(cone.n, cayley_diameters(cone.perms, cone.n, cap).exact_power)
 
 
 def rystsov_value(n: int, d: int) -> int:
@@ -139,8 +140,7 @@ def synthesize_reset_word(aut: Automaton, a_set: Sequence[int] | None = None) ->
         length=len(reset_word),
         steps=tuple(steps),
         bound=bound,
-        dim=cone.span_dim,
-        trans_len_k=cone.trans_len_k,
+        cone=cone,
         verified=verified,
         within_bound=len(reset_word) <= bound,
     )
@@ -173,7 +173,7 @@ def build_bounds_report(aut: Automaton, cone: ConeReport, group_cap: int) -> Bou
         raise NotTransitive("bounds need a transitive permutation set")
     n = aut.n
     try:
-        diameters = cayley_diameters(perms_of(aut, cone.a_letters), n, group_cap)
+        diameters = cayley_diameters(cone.perms, n, group_cap)
     except CapExceeded:
         diameters = None
     try:

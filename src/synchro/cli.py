@@ -227,7 +227,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise NotSynchronizing("automaton admits no reset word")
     cone = cone_sequence(aut, a_ids)
     try:
-        trace = gamma_growth(aut, a_ids)
+        trace = gamma_growth(aut, cone.perms)
         growth = _growth_dict(trace)
         growth_reason = None
     except SynchroError as exc:
@@ -294,8 +294,8 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         "word": aut.word_names(result.word),
         "length": result.length,
         "bound": result.bound,
-        "dim": result.dim,
-        "trans_len_k": result.trans_len_k,
+        "dim": result.cone.span_dim,
+        "trans_len_k": result.cone.trans_len_k,
         "verified": result.verified,
         "within_bound": result.within_bound,
         "steps": [
@@ -311,7 +311,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     lines = [
         f"reset word: {aut.format_word(result.word)}",
         f"length: {result.length} (bound {result.bound}, verified {result.verified})",
-        f"cone: dim {result.dim}, transient K {result.trans_len_k}",
+        f"cone: dim {result.cone.span_dim}, transient K {result.cone.trans_len_k}",
     ]
     for i, step in enumerate(result.steps):
         esc = "seed" if step.escape_length is None else f"escape {step.escape_length}"

@@ -90,8 +90,9 @@ def masked_sum(vector: Sequence, mask: int):
 class ConeReport:
     """Stabilization data for the generator sequence of one automaton.
 
-    ``tiers[i]`` is the full generator set after i permutation shifts, so the
-    last tier is the limit set.  ``span_dim`` is the rank of the limit
+    ``perms`` are the permutations of the letters ``a_letters``, in that
+    order.  ``tiers[i]`` is the full generator set after i permutation shifts,
+    so the last tier is the limit set.  ``span_dim`` is the rank of the limit
     generators; when ``is_subspace`` is true (transitive permutation group)
     the limit cone equals their span, so its polar cone is the orthogonal
     complement, of dimension ``n - span_dim``.
@@ -99,6 +100,7 @@ class ConeReport:
 
     n: int
     a_letters: tuple[int, ...]
+    perms: tuple[Perm, ...]
     deficient: tuple[int, ...]
     trans_len_t: int
     trans_len_k: int
@@ -178,6 +180,7 @@ def cone_sequence(aut: Automaton, a_set: Sequence[int] | None = None) -> ConeRep
     return ConeReport(
         n=aut.n,
         a_letters=a_ids,
+        perms=perms,
         deficient=deficient,
         trans_len_t=trans_len_t,
         trans_len_k=trans_k,

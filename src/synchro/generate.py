@@ -11,7 +11,7 @@ from typing import Iterator, Sequence
 
 from .automaton import Automaton, is_synchronizing
 from .errors import ResourceCap, RetryExhausted
-from .permgroup import is_transitive, perms_of
+from .permgroup import is_transitive, resolve_perm_set
 
 ENUM_CAP = 1 << 21
 RANDOM_ST_ATTEMPTS = 5000
@@ -136,10 +136,5 @@ def exhaustive_st_instances(n: int) -> Iterator[Automaton]:
     """All enumerated n-state 2-letter automata that are synchronizing with a
     transitive group generated by their permutation letters."""
     for aut in enumerate_automata(n, 2):
-        perm_ids = [a for a, d in enumerate(aut.letter_defects) if d == 0]
-        if not perm_ids:
-            continue
-        if not is_transitive(perms_of(aut, perm_ids), n):
-            continue
-        if is_synchronizing(aut):
+        if is_transitive(resolve_perm_set(aut)[1], n) and is_synchronizing(aut):
             yield aut

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .automaton import Automaton, Word, letters_of_defect, reach, states_of
-from .cones import k_vector
+from .cones import ConeReport, k_vector
 from .errors import (
     NoDefectOneLetters,
     NotTransitive,
@@ -22,7 +22,7 @@ from .errors import (
     WrongDefect,
 )
 from .linalg import orthogonal_complement, span_basis, unit_difference
-from .permgroup import Perm, is_transitive, perms_of
+from .permgroup import Perm, is_transitive
 
 Arc = tuple[int, int]
 
@@ -50,9 +50,10 @@ def digraph(n: int, arcs: Iterable[Arc]) -> Digraph:
 class ComponentDecomposition:
     """Strong and weak component partitions with sink/source flags.
 
-    ``sccs`` is ordered topologically with respect to the condensation
-    (sources first); ``scc_is_sink[i]`` / ``scc_is_source[i]`` flag the i-th
-    strong component.
+    ``sccs`` is ordered by decreasing size of each component's forward
+    closure, which is topological with respect to the condensation (sources
+    first); ``scc_is_sink[i]`` / ``scc_is_source[i]`` flag the i-th strong
+    component.
     """
 
     sccs: tuple[frozenset[int], ...]
@@ -78,68 +79,33 @@ class ComponentDecomposition:
 
 
 def scc_wcc(g: Digraph) -> ComponentDecomposition:
-    """Kosaraju strong components plus weak components by reachability."""
+    """Strong components as the meets of forward and backward closures, plus
+    weak components by undirected reachability.
+
+    A strong component reaches strictly more vertices than any other
+    component it reaches, so ordering the components by decreasing size of
+    their forward closure is a topological order of the condensation.  A
+    component is a sink when its forward closure is itself, and a source
+    when its backward closure is.
+    """
     n = g.n
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    radj: list[list[int]] = [[] for _ in range(n + 1)]
-    for p, q in sorted(g.arcs):
-        adj[p].append(q)
-        radj[q].append(p)
-
-    visited = [False] * (n + 1)
-    finish: list[int] = []
-    for start in range(1, n + 1):
-        if visited[start]:
-            continue
-        visited[start] = True
-        stack: list[tuple[int, int]] = [(start, 0)]
-        while stack:
-            v, idx = stack.pop()
-            advanced = False
-            while idx < len(adj[v]):
-                w = adj[v][idx]
-                idx += 1
-                if not visited[w]:
-                    visited[w] = True
-                    stack.append((v, idx))
-                    stack.append((w, 0))
-                    advanced = True
-                    break
-            if not advanced:
-                finish.append(v)
-
-    comp = [0] * (n + 1)
-    sccs: list[frozenset[int]] = []
-    assigned = [False] * (n + 1)
-    for root in reversed(finish):
-        if assigned[root]:
-            continue
-        members = []
-        assigned[root] = True
-        stack2 = [root]
-        while stack2:
-            v = stack2.pop()
-            members.append(v)
-            for w in radj[v]:
-                if not assigned[w]:
-                    assigned[w] = True
-                    stack2.append(w)
-        index = len(sccs)
-        for v in members:
-            comp[v] = index
-        sccs.append(frozenset(members))
-
-    is_sink = [True] * len(sccs)
-    is_source = [True] * len(sccs)
+    fwd = [0] * n
+    back = [0] * n
     for p, q in g.arcs:
-        if comp[p] != comp[q]:
-            is_sink[comp[p]] = False
-            is_source[comp[q]] = False
+        fwd[p - 1] |= 1 << (q - 1)
+        back[q - 1] |= 1 << (p - 1)
+    closures = []
+    rest = (1 << n) - 1
+    while rest:
+        low = rest & -rest
+        ahead = reach(fwd, low)
+        behind = reach(back, low)
+        component = ahead & behind
+        closures.append((component, ahead, behind))
+        rest &= ~component
+    closures.sort(key=lambda c: -c[1].bit_count())
 
-    undirected = [0] * n
-    for p, q in g.arcs:
-        undirected[p - 1] |= 1 << (q - 1)
-        undirected[q - 1] |= 1 << (p - 1)
+    undirected = [f | b for f, b in zip(fwd, back)]
     wccs = []
     rest = (1 << n) - 1
     while rest:
@@ -148,10 +114,10 @@ def scc_wcc(g: Digraph) -> ComponentDecomposition:
         rest &= ~component
 
     return ComponentDecomposition(
-        sccs=tuple(sccs),
+        sccs=tuple(states_of(c) for c, _, _ in closures),
         wccs=tuple(wccs),
-        scc_is_sink=tuple(is_sink),
-        scc_is_source=tuple(is_source),
+        scc_is_sink=tuple(ahead == c for c, ahead, _ in closures),
+        scc_is_source=tuple(behind == c for c, _, behind in closures),
     )
 
 
@@ -216,9 +182,8 @@ def shift_arc(arc: Arc, perm: Perm) -> Arc:
     return perm[p - 1] + 1, perm[q - 1] + 1
 
 
-def gamma_growth(aut: Automaton, a_set: Sequence[int] | None) -> GrowthTrace:
-    """Grow the excluded/duplicate arc digraph under the permutation letters
-    ``a_set`` (None: every defect-0 letter).
+def gamma_growth(aut: Automaton, perms: Sequence[Perm]) -> GrowthTrace:
+    """Grow the excluded/duplicate arc digraph under the permutations ``perms``.
 
     Level zero holds one arc per defect-one letter; appending a permutation
     letter to a defect-one word shifts both distinguished states by it, so
@@ -227,7 +192,6 @@ def gamma_growth(aut: Automaton, a_set: Sequence[int] | None) -> GrowthTrace:
     sigma1 = sorted(letters_of_defect(aut, 1)) if aut.n >= 2 else []
     if not sigma1:
         raise NoDefectOneLetters("no letter has defect exactly 1")
-    perms = perms_of(aut, a_set)
 
     seeds = {excluded_and_duplicate(aut, (b,)) for b in sigma1}
     arcs: set[Arc] = set(seeds)
@@ -246,7 +210,7 @@ def gamma_growth(aut: Automaton, a_set: Sequence[int] | None) -> GrowthTrace:
         levels.append(digraph(aut.n, arcs))
         frontier = new
     return GrowthTrace(
-        perms=perms,
+        perms=tuple(perms),
         levels=tuple(levels),
         decompositions=tuple(scc_wcc(g) for g in levels),
     )
@@ -300,16 +264,17 @@ def verify_growth_lemmas(trace: GrowthTrace) -> LemmaReport:
     transitive = is_transitive(perms, n)
     report = LemmaReport()
 
-    shift_ok = True
-    shift_detail = ""
-    for i in range(trace.transient + 1):
-        nxt = trace.at(i + 1).arcs
-        for arc in trace.at(i).arcs:
-            for perm in perms:
-                if shift_arc(arc, perm) not in nxt:
-                    shift_ok = False
-                    shift_detail = f"arc {arc} shifted out of level {i + 1}"
-    report.add("arc_shift_closure", shift_ok, shift_detail)
+    shift_detail = next(
+        (
+            f"arc {arc} shifted out of level {i + 1}"
+            for i in range(trace.transient + 1)
+            for arc in sorted(trace.at(i).arcs)
+            for perm in perms
+            if shift_arc(arc, perm) not in trace.at(i + 1).arcs
+        ),
+        "",
+    )
+    report.add("arc_shift_closure", not shift_detail, shift_detail)
 
     rank_ok = True
     rank_detail = ""
@@ -383,18 +348,17 @@ def verify_growth_lemmas(trace: GrowthTrace) -> LemmaReport:
     return report
 
 
-def translen_k_bound(aut: Automaton, a_set: Sequence[int] | None, dim: int) -> int:
-    """Component-counting bound on the cone transient length.
+def translen_k_bound(aut: Automaton, cone: ConeReport) -> int:
+    """Component-counting bound on the transient length of ``cone``.
 
-    Valid when every letter has defect at most one and the permutation set
-    ``a_set`` (None: every defect-0 letter) is transitive; ``dim`` is the
-    dimension of its limit cone.
+    Valid when every letter has defect at most one and the permutation set of
+    ``cone`` is transitive.
     """
     if any(d > 1 for d in aut.letter_defects):
         raise UnsupportedAlphabet("a letter of defect 2 or more is present")
-    if not is_transitive(perms_of(aut, a_set), aut.n):
+    if not cone.is_subspace:
         raise NotTransitive("bound requires a transitive permutation set")
-    n = aut.n
+    n, dim = aut.n, cone.span_dim
     if 2 * dim == n:
         return n
     return 3 * dim - n - 1

@@ -62,11 +62,6 @@ def resolve_perm_set(
     return ids, tuple(permutation_of_letter(aut, a) for a in ids)
 
 
-def perms_of(aut: Automaton, letters: Iterable[int] | None = None) -> tuple[Perm, ...]:
-    """Materialize the given letters (default: all defect-0 letters) as permutations."""
-    return resolve_perm_set(aut, letters)[1]
-
-
 def orbit(perms: Iterable[Perm], n: int) -> frozenset[int]:
     """Orbit of point 0 under the generated group.
 

@@ -31,7 +31,7 @@ from .cones import (
     masked_sum,
     subset_sums,
 )
-from .errors import CapExceeded
+from .errors import CapExceeded, NotSynchronizing
 from .generate import cerny, enumerate_automata, exhaustive_st_instances, random_st
 from .growth import (
     LemmaReport,
@@ -52,6 +52,14 @@ ESCAPE, EXTENSION, TWO_N = SWEEP_CHECKS = (
     "escape_length_within_codimension",
     "extension_length_within_cone_bound",
     "extension_within_2n_minus_3",
+)
+
+# The checks that compare the cone with the growth digraph, in the order they
+# run; they need a defect-1 letter and no letter of defect 2 or more.
+BRIDGE, LIMIT_DIM, DIGRAPH_BOUND = DIGRAPH_CHECKS = (
+    "cone_digraph_bridge",
+    "limit_dim_matches_components",
+    "k_transient_within_digraph_bound",
 )
 
 
@@ -250,48 +258,40 @@ def lemma_suite(aut: Automaton) -> LemmaReport:
             report.add_na(name, why)
 
     if has_defect_1:
-        trace = gamma_growth(aut, cone.a_letters)
+        trace = gamma_growth(aut, cone.perms)
         report.checks.extend(verify_growth_lemmas(trace).checks)
-        if defect_at_most_1:
-            bridge_ok = len(cone.tiers) == len(trace.levels)
-            bridge_detail = ""
-            if bridge_ok:
-                for i, (tier, level) in enumerate(zip(cone.tiers, trace.levels)):
-                    arcs_as_vectors = {
-                        unit_difference(q, p, n) for (p, q) in level.arcs
-                    }
-                    if tier != arcs_as_vectors:
-                        bridge_ok = False
-                        bridge_detail = f"level {i}"
-                        break
-            else:
-                bridge_detail = (
-                    f"tier count {len(cone.tiers)} vs levels {len(trace.levels)}"
-                )
-            report.add("cone_digraph_bridge", bridge_ok, bridge_detail)
-            report.add(
-                "limit_dim_matches_components",
-                cone.span_dim == n - len(trace.limit_decomposition.wccs),
-                f"dim {cone.span_dim}, weak components {len(trace.limit_decomposition.wccs)}",
-            )
-            if transitive:
-                bound39 = translen_k_bound(aut, cone.a_letters, cone.span_dim)
-                report.add(
-                    "k_transient_within_digraph_bound",
-                    cone.trans_len_k <= bound39,
-                    f"transient {cone.trans_len_k}, bound {bound39}",
-                )
-            else:
-                report.add_na("k_transient_within_digraph_bound", "not transitive")
-        else:
-            for name in ("cone_digraph_bridge", "limit_dim_matches_components",
-                         "k_transient_within_digraph_bound"):
-                report.add_na(name, "letters of defect 2 or more present")
-    else:
-        for name in ("cone_digraph_bridge", "limit_dim_matches_components",
-                     "k_transient_within_digraph_bound"):
-            report.add_na(name, "no defect-1 letter")
+    if not (has_defect_1 and defect_at_most_1):
+        why = "letters of defect 2 or more present" if has_defect_1 else "no defect-1 letter"
+        for name in DIGRAPH_CHECKS:
+            report.add_na(name, why)
+        return report
 
+    bridge_ok = len(cone.tiers) == len(trace.levels)
+    bridge_detail = ""
+    if bridge_ok:
+        for i, (tier, level) in enumerate(zip(cone.tiers, trace.levels)):
+            arcs_as_vectors = {unit_difference(q, p, n) for (p, q) in level.arcs}
+            if tier != arcs_as_vectors:
+                bridge_ok = False
+                bridge_detail = f"level {i}"
+                break
+    else:
+        bridge_detail = f"tier count {len(cone.tiers)} vs levels {len(trace.levels)}"
+    report.add(BRIDGE, bridge_ok, bridge_detail)
+    report.add(
+        LIMIT_DIM,
+        cone.span_dim == n - len(trace.limit_decomposition.wccs),
+        f"dim {cone.span_dim}, weak components {len(trace.limit_decomposition.wccs)}",
+    )
+    if transitive:
+        bound39 = translen_k_bound(aut, cone)
+        report.add(
+            DIGRAPH_BOUND,
+            cone.trans_len_k <= bound39,
+            f"transient {cone.trans_len_k}, bound {bound39}",
+        )
+    else:
+        report.add_na(DIGRAPH_BOUND, "not transitive")
     return report
 
 
@@ -349,10 +349,11 @@ def suite_enumerate(n: int, letters: int) -> SuiteReport:
     synchronizing = 0
     for aut in enumerate_automata(n, letters):
         report.checked += 1
-        if not is_synchronizing(aut):
+        try:
+            rt, _ = reset_threshold_exact(aut)
+        except NotSynchronizing:
             continue
         synchronizing += 1
-        rt, _ = reset_threshold_exact(aut)
         if rt > square:
             report.failures.append(
                 f"table {aut.rows()}: reset threshold {rt} > {square}"
@@ -386,7 +387,7 @@ def suite_bounds(count: int, ns: Sequence[int], seed: int) -> SuiteReport:
         if result.length > result.bound:
             fails.append(f"{label}: synthesized {result.length} > bound {result.bound}")
         try:
-            ryst = bound_rystsov(aut, group_cap)
+            ryst = bound_rystsov(result.cone, group_cap)
         except CapExceeded:
             ryst = None
         if ryst is not None:

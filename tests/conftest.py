@@ -1,4 +1,7 @@
+import importlib
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -14,6 +17,25 @@ def c4() -> Automaton:
 @pytest.fixture
 def c5() -> Automaton:
     return cerny(5)
+
+
+def count_calls(monkeypatch, *qualified) -> Counter:
+    """Count the calls of each ``module.function`` of ``synchro``, from every
+    ``synchro`` module that holds it; the counter is keyed by function name."""
+    counts = Counter()
+    modules = [m for name, m in sys.modules.items() if name.startswith("synchro.")]
+    for qual in qualified:
+        module_name, name = qual.split(".")
+        real = getattr(importlib.import_module(f"synchro.{module_name}"), name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    return counts
 
 
 def random_automaton(rng: random.Random, n: int, k: int) -> Automaton:

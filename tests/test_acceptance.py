@@ -15,6 +15,7 @@ from synchro.cones import cone_sequence
 from synchro.generate import cerny
 from synchro.growth import gamma_growth
 from synchro.linalg import _cone_lp_feasible, span_basis, unit_difference
+from synchro.permgroup import resolve_perm_set
 from synchro.verify import random_st_batch, suite_bounds, suite_enumerate, suite_lemmas
 
 from oracles import escape_exists, preimage_matrix, rref_basis, shortest_escape
@@ -150,7 +151,7 @@ def test_criterion_6_cone_reachability_cross_check():
     # incidence-rank identity on every level of generated growth traces
     levels_checked = 0
     for label, aut in random_st_batch(40, (5, 6, 7, 8), SEED + 1):
-        trace = gamma_growth(aut, None)
+        trace = gamma_growth(aut, resolve_perm_set(aut)[1])
         for level, deco in zip(trace.levels, trace.decompositions):
             vectors = [unit_difference(p, q, aut.n) for p, q in level.arcs]
             rank = len(span_basis(vectors, aut.n))

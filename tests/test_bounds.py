@@ -49,7 +49,7 @@ class TestBoundMain:
 
 class TestBoundRystsov:
     def test_family_value_exact_power(self, c4):
-        assert bound_rystsov(c4, DEFAULT_GROUP_CAP) == 15
+        assert bound_rystsov(cone_sequence(c4), DEFAULT_GROUP_CAP) == 15
 
     def test_prefix_reading_via_report(self, c4):
         report = build_bounds_report(c4, cone_sequence(c4, (0,)), DEFAULT_GROUP_CAP)
@@ -59,19 +59,25 @@ class TestBoundRystsov:
         assert report.d_prefix_closed == 3
 
     def test_two_states(self):
-        assert bound_rystsov(cerny(2), DEFAULT_GROUP_CAP) == 1
+        assert bound_rystsov(cone_sequence(cerny(2)), DEFAULT_GROUP_CAP) == 1
 
     def test_cap_exceeded(self):
-        aut = cerny(6)
+        cone = cone_sequence(cerny(6))
         with pytest.raises(CapExceeded):
-            bound_rystsov(aut, 2)
+            bound_rystsov(cone, 2)
+
+    def test_rejects_a_cone_of_a_non_transitive_set(self):
+        aut = Automaton(("a", "b"), ((1, 0, 2, 3), (1, 1, 2, 3)))
+        with pytest.raises(NotTransitive):
+            bound_rystsov(cone_sequence(aut), DEFAULT_GROUP_CAP)
 
     def test_dominates_dimension_bound(self):
         rng = random.Random(61)
         for _ in range(20):
             n = rng.randrange(4, 9)
             aut = random_st(n, 1, 1, rng.randrange(1 << 20))
-            assert bound_main(cone_sequence(aut)) <= bound_rystsov(aut, 10**5)
+            cone = cone_sequence(aut)
+            assert bound_main(cone) <= bound_rystsov(cone, 10**5)
 
 
 class TestBoundDefect1:
@@ -151,7 +157,7 @@ class TestSynthesize:
             rt, _ = reset_threshold_exact(aut)
             result = synthesize_reset_word(aut, (0,))
             assert rt <= result.length <= result.bound
-            assert result.bound <= bound_rystsov(aut, DEFAULT_GROUP_CAP)
+            assert result.bound <= bound_rystsov(cone_sequence(aut), DEFAULT_GROUP_CAP)
 
     def test_soundness_chain_on_exhaustive_small_st(self):
         from synchro.generate import exhaustive_st_instances

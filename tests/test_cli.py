@@ -16,6 +16,8 @@ from synchro.errors import (
 from synchro.fileformat import parse_automaton
 from synchro.generate import cerny, random_st
 
+from conftest import count_calls
+
 SCHEMA = json.loads(
     (pathlib.Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text()
 )
@@ -57,6 +59,12 @@ class TestAnalyze:
         main(["analyze", c4_file])
         text = capsys.readouterr().out
         assert "bounds: main 9, square 9, rystsov 15/13, defect1 11" in text
+
+    def test_perm_set_resolved_twice(self, monkeypatch, capsys, c4_file):
+        # for --perm-set, then in cone_sequence; growth and bounds read the cone
+        counts = count_calls(monkeypatch, "permgroup.resolve_perm_set")
+        assert main(["analyze", c4_file]) == 0
+        assert counts == {"resolve_perm_set": 2}
 
     def test_nonsynchronizing_exit_code(self, capsys, tmp_path):
         path = tmp_path / "p.txt"

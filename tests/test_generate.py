@@ -12,7 +12,7 @@ from synchro.generate import (
     exhaustive_st_instances,
     random_st,
 )
-from synchro.permgroup import is_transitive, perms_of
+from synchro.permgroup import is_transitive, resolve_perm_set
 
 
 class TestCernyFamily:
@@ -26,7 +26,7 @@ class TestCernyFamily:
             aut = cerny(n)
             assert is_synchronizing(aut)
             assert is_strongly_connected(aut)
-            assert is_transitive(perms_of(aut, (0,)), n)
+            assert is_transitive(resolve_perm_set(aut, (0,))[1], n)
 
     def test_small_thresholds(self):
         assert reset_threshold_exact(cerny(2))[0] == 1
@@ -46,7 +46,7 @@ class TestRandomSt:
             assert aut.letter_defects[:2] == (0, 0)
             assert aut.letter_defects[2] == 1
             assert is_synchronizing(aut)
-            assert is_transitive(perms_of(aut, (0, 1)), 6)
+            assert is_transitive(resolve_perm_set(aut, (0, 1))[1], 6)
 
     def test_reproducible(self):
         assert random_st(6, 1, 1, 42) == random_st(6, 1, 1, 42)
@@ -102,5 +102,5 @@ class TestEnumeration:
             assert is_synchronizing(aut)
             perm_ids = [a for a, d in enumerate(aut.letter_defects) if d == 0]
             assert perm_ids
-            assert is_transitive(perms_of(aut, perm_ids), 2)
+            assert is_transitive(resolve_perm_set(aut, perm_ids)[1], 2)
         assert len(instances) > 0

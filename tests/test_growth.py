@@ -22,6 +22,7 @@ from synchro.growth import (
     translen_k_bound,
     verify_growth_lemmas,
 )
+from synchro.permgroup import resolve_perm_set
 
 def reachability_matrix(g: Digraph) -> dict[tuple[int, int], bool]:
     """Independent transitive-closure oracle (Floyd-Warshall over booleans)."""
@@ -138,7 +139,7 @@ class TestComponents:
 
 class TestGrowth:
     def test_family_trace(self, c4):
-        trace = gamma_growth(c4, (0,))
+        trace = gamma_growth(c4, resolve_perm_set(c4, (0,))[1])
         assert trace.levels[0].arcs == frozenset({(1, 2)})
         assert trace.transient == 3
         assert trace.limit.arcs == frozenset({(1, 2), (2, 3), (3, 4), (4, 1)})
@@ -146,7 +147,7 @@ class TestGrowth:
 
     def test_identity_only_does_not_grow(self):
         aut = Automaton(("a", "b"), ((0, 1, 2, 3), (0, 0, 2, 3)))
-        trace = gamma_growth(aut, (0,))
+        trace = gamma_growth(aut, resolve_perm_set(aut, (0,))[1])
         assert trace.transient == 0
         assert trace.limit.arcs == trace.levels[0].arcs
 
@@ -155,16 +156,16 @@ class TestGrowth:
         perm = (2, 3, 4, 5, 0, 1)
         merge = (1, 1, 2, 3, 4, 5)
         aut = Automaton(("a", "b"), (perm, merge))
-        trace = gamma_growth(aut, (0,))
+        trace = gamma_growth(aut, resolve_perm_set(aut, (0,))[1])
         assert trace.d > 1
 
     def test_no_defect_one_letters(self):
         aut = Automaton(("a", "b"), ((1, 0, 2), (0, 0, 0)))
         with pytest.raises(NoDefectOneLetters):
-            gamma_growth(aut, (0,))
+            gamma_growth(aut, resolve_perm_set(aut, (0,))[1])
 
     def test_monotone_arc_sets(self, c4):
-        trace = gamma_growth(c4, (0,))
+        trace = gamma_growth(c4, resolve_perm_set(c4, (0,))[1])
         for early, late in zip(trace.levels, trace.levels[1:]):
             assert early.arcs < late.arcs
 
@@ -177,7 +178,7 @@ class TestGrowth:
             sigma1 = [a for a, d in enumerate(aut.letter_defects) if d == 1]
             perm_ids = [a for a, d in enumerate(aut.letter_defects) if d == 0]
             checked += 1
-            trace = gamma_growth(aut, perm_ids)
+            trace = gamma_growth(aut, resolve_perm_set(aut, perm_ids)[1])
             for i in range(min(trace.transient + 1, 4)):
                 expected = set()
                 for suffix_len in range(i + 1):
@@ -191,13 +192,14 @@ class TestGrowth:
 
 class TestGrowthLemmas:
     def test_family_checks_pass(self, c4):
-        report = verify_growth_lemmas(gamma_growth(c4, (0,)))
+        report = verify_growth_lemmas(gamma_growth(c4, resolve_perm_set(c4, (0,))[1]))
         assert report.ok
         assert report.by_name("strong_stable_late_when_few_components").status == "pass"
         assert report.by_name("strong_stable_by_n_when_many_components").status == "n/a"
 
     def test_two_state_family_hits_many_component_branch(self):
-        report = verify_growth_lemmas(gamma_growth(cerny(2), (0,)))
+        aut = cerny(2)
+        report = verify_growth_lemmas(gamma_growth(aut, resolve_perm_set(aut, (0,))[1]))
         assert report.ok
         assert report.by_name("strong_stable_by_n_when_many_components").status == "pass"
 
@@ -205,7 +207,7 @@ class TestGrowthLemmas:
         perm = (2, 3, 4, 5, 0, 1)
         merge = (1, 1, 2, 3, 4, 5)
         aut = Automaton(("a", "b"), (perm, merge))
-        report = verify_growth_lemmas(gamma_growth(aut, (0,)))
+        report = verify_growth_lemmas(gamma_growth(aut, resolve_perm_set(aut, (0,))[1]))
         assert report.ok
         assert report.by_name("weak_equals_strong_at_limit").status == "n/a"
         assert report.by_name("incidence_rank_matches_weak_components").status == "pass"
@@ -214,7 +216,7 @@ class TestGrowthLemmas:
         # swap two states between weak components at a level: the component
         # count, and with it the rank identity, still holds, so only the
         # complement-span comparison sees the wrong components
-        trace = gamma_growth(c4, (0,))
+        trace = gamma_growth(c4, resolve_perm_set(c4, (0,))[1])
         deco = trace.decompositions[0]
         assert len(deco.wccs) == 3
         a, b = next(w for w in deco.wccs if len(w) == 2)
@@ -237,20 +239,20 @@ class TestGrowthLemmas:
         for _ in range(10):
             n = rng.randrange(4, 9)
             aut = random_st(n, rng.choice((1, 2)), 1, rng.randrange(1 << 20))
-            assert verify_growth_lemmas(gamma_growth(aut, None)).ok
+            assert verify_growth_lemmas(gamma_growth(aut, resolve_perm_set(aut)[1])).ok
 
 
 class TestTransientBound:
     def test_family_bound(self, c4):
         cone = cone_sequence(c4, (0,))
-        assert translen_k_bound(c4, (0,), cone.span_dim) == 4
+        assert translen_k_bound(c4, cone) == 4
         assert cone.trans_len_k <= 4
 
     def test_half_dimension_case(self):
         aut = cerny(2)
-        dim = cone_sequence(aut, (0,)).span_dim
-        assert dim * 2 == aut.n
-        assert translen_k_bound(aut, (0,), dim) == 2
+        cone = cone_sequence(aut, (0,))
+        assert cone.span_dim * 2 == aut.n
+        assert translen_k_bound(aut, cone) == 2
 
     def test_half_dimension_four_states(self):
         # merging across the diagonal of the 4-cycle splits the limit digraph
@@ -258,9 +260,9 @@ class TestTransientBound:
         # component bound degrades to n (the bound needs no synchronization)
         aut = Automaton(("a", "b"), ((1, 2, 3, 0), (2, 1, 2, 3)))
         cone = cone_sequence(aut, (0,))
-        trace = gamma_growth(aut, (0,))
+        trace = gamma_growth(aut, cone.perms)
         assert cone.span_dim == 2 and trace.d == 2
-        assert translen_k_bound(aut, (0,), cone.span_dim) == 4
+        assert translen_k_bound(aut, cone) == 4
         assert cone.trans_len_k <= 4
         report = verify_growth_lemmas(trace)
         assert report.ok
@@ -269,14 +271,14 @@ class TestTransientBound:
     def test_defect_two_rejected(self):
         aut = Automaton(("a", "b"), ((1, 2, 0), (0, 0, 0)))
         with pytest.raises(UnsupportedAlphabet):
-            translen_k_bound(aut, (0,), cone_sequence(aut, (0,)).span_dim)
+            translen_k_bound(aut, cone_sequence(aut, (0,)))
 
     def test_nontransitive_rejected(self):
         perm = (2, 3, 4, 5, 0, 1)
         merge = (1, 1, 2, 3, 4, 5)
         aut = Automaton(("a", "b"), (perm, merge))
         with pytest.raises(NotTransitive):
-            translen_k_bound(aut, (0,), cone_sequence(aut, (0,)).span_dim)
+            translen_k_bound(aut, cone_sequence(aut, (0,)))
 
     def test_bound_holds_on_random_instances(self):
         rng = random.Random(31)
@@ -284,4 +286,4 @@ class TestTransientBound:
             n = rng.randrange(4, 9)
             aut = random_st(n, 1, rng.choice((1, 2)), rng.randrange(1 << 20))
             cone = cone_sequence(aut)
-            assert cone.trans_len_k <= translen_k_bound(aut, cone.a_letters, cone.span_dim)
+            assert cone.trans_len_k <= translen_k_bound(aut, cone)

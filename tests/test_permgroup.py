@@ -14,7 +14,7 @@ from synchro.permgroup import (
     is_transitive,
     orbit,
     permutation_of_letter,
-    perms_of,
+    resolve_perm_set,
 )
 
 FOUR_CYCLE = (1, 2, 3, 0)
@@ -111,8 +111,8 @@ class TestBasics:
         aut = Automaton(("a",), ((0,),))
         assert permutation_of_letter(aut, 0) == (0,)
 
-    def test_perms_of_defaults_to_defect_zero(self, c4):
-        assert perms_of(c4) == (FOUR_CYCLE,)
+    def test_resolve_perm_set_defaults_to_defect_zero(self, c4):
+        assert resolve_perm_set(c4) == ((0,), (FOUR_CYCLE,))
 
 
 class TestTransitivity:

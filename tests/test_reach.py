@@ -11,7 +11,7 @@ from collections import deque
 from synchro.automaton import Automaton, is_strongly_connected, reach
 from synchro.growth import digraph, gamma_growth, scc_wcc
 from synchro.linalg import _reachability_membership
-from synchro.permgroup import inverse, orbit
+from synchro.permgroup import inverse, orbit, resolve_perm_set
 from synchro.verify import random_st_batch
 
 
@@ -174,7 +174,7 @@ def test_scc_wcc_matches_reference():
     rng = random.Random(75)
     graphs = [random_digraph(rng, rng.randrange(1, 10)) for _ in range(400)]
     for _, aut in random_st_batch(20, (5, 6, 7, 8), 76):
-        graphs.extend(gamma_growth(aut, None).levels)
+        graphs.extend(gamma_growth(aut, resolve_perm_set(aut)[1]).levels)
     for g in graphs:
         deco = scc_wcc(g)
         assert deco.wcc_partition == reference_weak_components(g)

@@ -1,11 +1,9 @@
 import dataclasses
-import sys
-from collections import Counter
 from functools import cached_property
 
 import pytest
 
-from synchro import permgroup, verify
+from synchro import verify
 from synchro.automaton import Automaton
 from synchro.cones import ConeReport, KVector, cone_sequence, escaped_masks, extend_mask
 from synchro.generate import cerny, random_st
@@ -21,6 +19,8 @@ from synchro.verify import (
     suite_enumerate,
     suite_lemmas,
 )
+
+from conftest import count_calls
 
 
 def tamper(monkeypatch, name, change):
@@ -250,23 +250,23 @@ class TestLemmaSuite:
         assert inst.by_name(ESCAPE).status == inst.by_name(EXTENSION).status == "pass"
 
     def test_perm_set_resolved_and_tested_once_per_reader(self, monkeypatch):
-        # resolved by cone_sequence, gamma_growth and translen_k_bound; tested
-        # for transitivity by cone_sequence, verify_growth_lemmas and
-        # translen_k_bound (lemma_suite reads cone.is_subspace)
-        counts = Counter()
-        modules = [m for name, m in sys.modules.items() if name.startswith("synchro.")]
-        for name in ("resolve_perm_set", "is_transitive"):
-            real = getattr(permgroup, name)
-
-            def counting(*args, _real=real, _name=name):
-                counts[_name] += 1
-                return _real(*args)
-
-            for module in modules:
-                if getattr(module, name, None) is real:
-                    monkeypatch.setattr(module, name, counting)
+        # resolved by cone_sequence alone; tested for transitivity by
+        # cone_sequence and verify_growth_lemmas (lemma_suite and
+        # translen_k_bound read cone.is_subspace)
+        counts = count_calls(
+            monkeypatch, "permgroup.resolve_perm_set", "permgroup.is_transitive"
+        )
         assert lemma_suite(cerny(6)).ok
-        assert counts == {"resolve_perm_set": 3, "is_transitive": 3}
+        assert counts == {"resolve_perm_set": 1, "is_transitive": 2}
+
+    def test_arc_shift_closure_names_the_first_escaping_arc(self, monkeypatch):
+        # with levels 1 and 3 cut back to the seed arc (1, 2), arcs of both
+        # levels 0 and 2 shift out of the next level
+        tamper(monkeypatch, "gamma_growth",
+               lambda t: with_arcs_at(with_arcs_at(t, 1, {(1, 2)}), 3, {(1, 2)}))
+        check = lemma_suite(cerny(6)).by_name("arc_shift_closure")
+        assert check.status == "fail"
+        assert check.detail == "arc (1, 2) shifted out of level 1"
 
 
 class TestBatches:
@@ -293,11 +293,23 @@ class TestSuites:
         assert report.checked == 729
         assert report.details["synchronizing"] == 549
 
+    def test_enumerate_suite_tests_each_table_once(self, monkeypatch):
+        # reset_threshold_exact makes the one pair-graph test of every table
+        counts = count_calls(monkeypatch, "automaton.is_synchronizing")
+        report = suite_enumerate(3, 2)
+        assert counts == {"is_synchronizing": report.checked}
+
     def test_bounds_suite_small(self):
         report = suite_bounds(count=6, ns=(5, 6), seed=3)
         assert report.ok, report.failures
         assert report.checked == 6
         assert report.seed == 3
+
+    def test_bounds_suite_resolves_the_perm_set_once_per_instance(self, monkeypatch):
+        # in synthesis's cone_sequence; bound_rystsov reads that cone's perms
+        counts = count_calls(monkeypatch, "permgroup.resolve_perm_set")
+        assert suite_bounds(10, range(5, 11), 0).ok
+        assert counts == {"resolve_perm_set": 10}
 
     def test_lemmas_suite_small(self):
         report = suite_lemmas(count=4, ns=(5,), seed=3, exhaustive_n_max=2)
