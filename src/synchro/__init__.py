@@ -53,7 +53,7 @@ from .growth import (
     translen_k_bound,
     verify_growth_lemmas,
 )
-from .linalg import in_cone, orthogonal_complement, span_basis
+from .linalg import RowEchelon, cone_is_subspace, in_cone, orthogonal_complement, span_basis
 from .permgroup import (
     CayleyDiameters,
     cayley_diameters,

@@ -32,7 +32,7 @@ from .errors import (
     NotStronglyConnected,
     NotSynchronizing,
 )
-from .linalg import Vector, in_cone, span_basis
+from .linalg import RowEchelon, Vector, cone_is_subspace, in_cone
 from .permgroup import Perm, is_transitive, resolve_perm_set
 
 
@@ -133,23 +133,34 @@ def cone_sequence(aut: Automaton, a_set: Sequence[int] | None = None) -> ConeRep
     """Iterate the generator sets to both transient lengths.
 
     The set transient is the first level whose shift adds no new vector; the
-    cone transient is the first level at which every newly shifted generator
-    already lies in the previous cone.  One-step equality suffices for both:
-    later levels only shift existing vectors, and the shift maps carry the
-    stabilized set (or cone) into itself.
+    cone transient K is the first level at which every newly shifted
+    generator already lies in the previous cone.  One-step equality suffices
+    for both: later levels only shift existing vectors, and the shift maps
+    carry the stabilized set (or cone) into itself.
+
+    Every vector goes through one running integer elimination, whose rank is
+    ``span_dim``.  A level where some new vector raises the rank is not K,
+    and no LP runs.  Otherwise, for a transitive permutation set the limit
+    cone is a subspace, so the level is K exactly when the current cone is
+    one: a reachability test for unit-difference generators, else one exact
+    LP (``cone_is_subspace``).  Only a non-transitive set still tests each
+    new vector for cone membership with its own LP.
     """
     a_ids, perms = resolve_perm_set(aut, a_set)
     deficient = deficient_letters(aut)
     if not deficient:
         raise NoDeficientLetters("every letter is a permutation")
+    transitive = is_transitive(perms, aut.n)
 
     order: list[KVector] = []
     seen: set[Vector] = set()
+    echelon = RowEchelon(aut.n)
     for b in deficient:
         kv = k_vector(aut, (b,))
         if kv.vector not in seen:
             seen.add(kv.vector)
             order.append(kv)
+            echelon.add(kv.vector)
     tiers = [frozenset(seen)]
     frontier = list(order)
     trans_k: int | None = None
@@ -167,16 +178,22 @@ def cone_sequence(aut: Automaton, a_set: Sequence[int] | None = None) -> ConeRep
             if trans_k is None:
                 trans_k = level
             break
-        if trans_k is None:
+        rank = echelon.rank
+        for kv in new:
+            echelon.add(kv.vector)
+        if trans_k is None and echelon.rank == rank:
             current = [kv.vector for kv in order]
-            if all(in_cone(kv.vector, current) for kv in new):
+            if transitive:
+                stable = cone_is_subspace(current, aut.n)
+            else:
+                stable = all(in_cone(kv.vector, current) for kv in new)
+            if stable:
                 trans_k = level
         order.extend(new)
         tiers.append(frozenset(seen))
         frontier = new
         level += 1
 
-    vectors = [kv.vector for kv in order]
     return ConeReport(
         n=aut.n,
         a_letters=a_ids,
@@ -186,8 +203,8 @@ def cone_sequence(aut: Automaton, a_set: Sequence[int] | None = None) -> ConeRep
         trans_len_k=trans_k,
         tiers=tuple(tiers),
         limit_generators=tuple(order),
-        is_subspace=is_transitive(perms, aut.n),
-        span_dim=len(span_basis(vectors, aut.n)),
+        is_subspace=transitive,
+        span_dim=echelon.rank,
     )
 
 

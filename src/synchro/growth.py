@@ -22,7 +22,7 @@ from .errors import (
     WrongDefect,
 )
 from .linalg import orthogonal_complement, span_basis, unit_difference
-from .permgroup import Perm, is_transitive
+from .permgroup import Perm
 
 Arc = tuple[int, int]
 
@@ -252,16 +252,16 @@ class LemmaReport:
         raise KeyError(name)
 
 
-def verify_growth_lemmas(trace: GrowthTrace) -> LemmaReport:
+def verify_growth_lemmas(trace: GrowthTrace, transitive: bool) -> LemmaReport:
     """Run every growth-structure theorem on ``trace`` as an executable check.
 
     All of these are proved facts, so any failure indicates an implementation
-    bug.  Checks whose hypothesis needs a transitive permutation set are
-    reported n/a when the permutations of the trace are not.
+    bug.  ``transitive`` says whether the permutations of the trace act
+    transitively (the caller has tested it, e.g. as ``cone.is_subspace``);
+    checks whose hypothesis needs that are reported n/a when they do not.
     """
     perms = trace.perms
     n = trace.n
-    transitive = is_transitive(perms, n)
     report = LemmaReport()
 
     shift_detail = next(

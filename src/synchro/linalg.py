@@ -1,7 +1,8 @@
 """Exact linear algebra on integer vectors: ranks, spans, orthogonal
-complements and cone membership.
+complements, cone membership and the test whether a cone is a subspace.
 
 Ranks and complements come from one Gauss-Jordan elimination on integer rows
+(``RowEchelon``, fed one row at a time, so a caller can keep a running rank)
 that divides each reduced row by the gcd of its entries, so no operation ever
 rounds and no rational arithmetic is needed.  Only the cone LP works over
 rationals.  Vectors are plain tuples.
@@ -30,20 +31,29 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _eliminate(
-    vectors: Iterable[Sequence[int]], n: int
-) -> tuple[list[int], list[tuple[int, list[int]]]]:
-    """Gauss-Jordan elimination of integer rows taken in input order.
+class RowEchelon:
+    """Running Gauss-Jordan elimination of integer rows, fed one at a time.
 
-    Returns the indices of the inputs that add a pivot, and the reduced rows
-    as (pivot column, row) pairs.  Each reduced row is primitive (its entries
-    have gcd 1) and is zero in the pivot column of every other row.
+    ``rows`` holds the reduced rows as (pivot column, row) pairs, in the order
+    their inputs arrived.  Each reduced row is primitive (its entries have gcd
+    1) and is zero in the pivot column of every other row, so ``rank`` is the
+    rank of every vector added so far.
     """
-    picked: list[int] = []
-    reduced: list[tuple[int, list[int]]] = []
-    for index, v in enumerate(vectors):
-        if len(v) != n:
-            raise ValueError(f"vector of length {len(v)} in ambient dimension {n}")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.rows: list[tuple[int, list[int]]] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def add(self, v: Sequence[int]) -> bool:
+        """Reduce ``v`` against the rows; keep it and return True exactly
+        when it leaves their span."""
+        if len(v) != self.n:
+            raise ValueError(f"vector of length {len(v)} in ambient dimension {self.n}")
+        reduced = self.rows
         row = list(v)
         for col, red in reduced:
             c = row[col]
@@ -52,30 +62,31 @@ def _eliminate(
                 row = _primitive([d * x - c * y for x, y in zip(row, red)])
         col = next((j for j, x in enumerate(row) if x), None)
         if col is None:
-            continue
+            return False
         row = _primitive(row)
         c = row[col]
         for i, (other_col, other) in enumerate(reduced):
             e = other[col]
             if e:
                 reduced[i] = (other_col, _primitive([c * x - e * y for x, y in zip(other, row)]))
-        picked.append(index)
         reduced.append((col, row))
-    return picked, reduced
+        return True
 
 
 def span_basis(vectors: Iterable[Sequence[int]], n: int) -> tuple[Sequence[int], ...]:
     """The input vectors that add a pivot, in input order: a basis of the
     span drawn from the inputs, so its length is the rank."""
-    vectors = list(vectors)
-    picked, _ = _eliminate(vectors, n)
-    return tuple(vectors[i] for i in picked)
+    echelon = RowEchelon(n)
+    return tuple(v for v in vectors if echelon.add(v))
 
 
 def orthogonal_complement(vectors: Iterable[Sequence[int]], n: int) -> tuple[Vector, ...]:
     """A primitive integer basis of the null space of the matrix whose rows
     are ``vectors``: one vector per non-pivot column, in column order."""
-    _, reduced = _eliminate(vectors, n)
+    echelon = RowEchelon(n)
+    for v in vectors:
+        echelon.add(v)
+    reduced = echelon.rows
     pivot_cols = {col for col, _ in reduced}
     out = []
     for f in range(n):
@@ -111,6 +122,27 @@ def _as_unit_difference(v: Sequence) -> tuple[int, int] | None:
     return plus, minus
 
 
+def _arcs_of(gens: Sequence[Sequence]) -> list[tuple[int, int]] | None:
+    """The arcs (tail, head) of generators that are all unit differences
+    (+1 at the head, -1 at the tail), else None."""
+    arcs = []
+    for g in gens:
+        shape = _as_unit_difference(g)
+        if shape is None:
+            return None
+        plus, minus = shape
+        arcs.append((minus, plus))
+    return arcs
+
+
+def _successors(arcs: Sequence[tuple[int, int]], n: int) -> list[int]:
+    """Successor masks of the arc digraph on n vertices, for ``reach``."""
+    succ = [0] * n
+    for tail, head in arcs:
+        succ[tail] |= 1 << head
+    return succ
+
+
 def _reachability_membership(target: tuple[int, int], arcs: list[tuple[int, int]], n: int) -> bool:
     """Flow decomposition for unit-difference cones in Q^n.
 
@@ -119,10 +151,7 @@ def _reachability_membership(target: tuple[int, int], arcs: list[tuple[int, int]
     directed path from t to s.
     """
     s, t = target
-    succ = [0] * n
-    for tail, head in arcs:
-        succ[tail] |= 1 << head
-    return bool(reach(succ, 1 << t) >> s & 1)
+    return bool(reach(_successors(arcs, n), 1 << t) >> s & 1)
 
 
 def _cone_lp_feasible(v: Sequence, gens: list[Sequence]) -> bool:
@@ -213,8 +242,33 @@ def in_cone(v: Sequence, gens: Iterable[Sequence]) -> bool:
     if not gen_list:
         return False
     target = _as_unit_difference(v)
-    shapes = [_as_unit_difference(g) for g in gen_list]
-    if target is not None and all(s is not None for s in shapes):
-        arcs = [(minus, plus) for plus, minus in shapes]  # tail -> head
+    arcs = _arcs_of(gen_list) if target is not None else None
+    if arcs is not None:
         return _reachability_membership(target, arcs, len(v))
     return _cone_lp_feasible(v, gen_list)
+
+
+def cone_is_subspace(gens: Iterable[Sequence[int]], n: int) -> bool:
+    """Is the cone of nonnegative combinations of ``gens`` (in Q^n) a linear
+    subspace, i.e. does it hold ``-g`` for every generator g?
+
+    That holds exactly when some strictly positive combination of the
+    generators is zero, i.e. when ``-sum(gens)`` lies in the cone: one exact
+    LP.  For unit-difference generators it is the arc digraph's property
+    that every arc lies on a cycle, which ``reach`` decides without an LP.
+    """
+    gen_list = [g for g in dict.fromkeys(tuple(g) for g in gens) if any(g)]
+    for g in gen_list:
+        if len(g) != n:
+            raise ValueError(f"vector of length {len(g)} in ambient dimension {n}")
+    arcs = _arcs_of(gen_list)
+    if arcs is not None:
+        succ = _successors(arcs, n)
+        closure: dict[int, int] = {}
+        for tail, head in arcs:
+            if head not in closure:
+                closure[head] = reach(succ, 1 << head)
+            if not closure[head] >> tail & 1:
+                return False
+        return True
+    return in_cone(tuple(-sum(column) for column in zip(*gen_list)), gen_list)

@@ -259,7 +259,7 @@ def lemma_suite(aut: Automaton) -> LemmaReport:
 
     if has_defect_1:
         trace = gamma_growth(aut, cone.perms)
-        report.checks.extend(verify_growth_lemmas(trace).checks)
+        report.checks.extend(verify_growth_lemmas(trace, transitive).checks)
     if not (has_defect_1 and defect_at_most_1):
         why = "letters of defect 2 or more present" if has_defect_1 else "no defect-1 letter"
         for name in DIGRAPH_CHECKS:

@@ -9,7 +9,16 @@ tuples and matrices tuples of row tuples.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from synchro.automaton import mask_of, states_of, word_image_mask, word_preimage_mask
+from synchro.automaton import (
+    deficient_letters,
+    mask_of,
+    states_of,
+    word_image_mask,
+    word_preimage_mask,
+)
+from synchro.cones import k_vector, shift_vector
+from synchro.linalg import in_cone
+from synchro.permgroup import resolve_perm_set
 
 
 def apply_word(aut, states, word):
@@ -212,3 +221,37 @@ def shortest_escape(mats, basis, x, max_len):
                 nxt.add(u)
         frontier = nxt
     return None
+
+
+# ---------------------------------------------------------------------------
+# the cone transient by one membership test per new vector
+
+def reference_trans_len_k(aut, a_set=None):
+    """``(span_dim, trans_len_k, trans_len_t)`` of the generator sequence
+    of ``aut`` under the permutation set ``a_set``, by the direct loop: the
+    cone transient is the first level at which every newly shifted vector
+    lies in the cone of the previous level, each tested on its own by
+    ``in_cone``; the span dimension is the rational RREF rank of the limit
+    set."""
+    _, perms = resolve_perm_set(aut, a_set)
+    order = list(dict.fromkeys(k_vector(aut, (b,)).vector for b in deficient_letters(aut)))
+    seen = set(order)
+    frontier = list(order)
+    trans_k = None
+    level = 0
+    while True:
+        new = []
+        for v in frontier:
+            for perm in perms:
+                u = shift_vector(v, perm)
+                if u not in seen:
+                    seen.add(u)
+                    new.append(u)
+        if not new:
+            break
+        if trans_k is None and all(in_cone(u, order) for u in new):
+            trans_k = level
+        order.extend(new)
+        frontier = new
+        level += 1
+    return rref_basis(order, aut.n).dim, level if trans_k is None else trans_k, level

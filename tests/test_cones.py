@@ -22,9 +22,10 @@ from synchro.errors import (
 )
 from synchro.generate import cerny
 from synchro.linalg import in_cone
-from synchro.permgroup import permutation_of_letter
+from synchro.permgroup import is_transitive, permutation_of_letter
+from synchro.verify import random_st_batch
 
-from conftest import random_automaton
+from conftest import count_calls, random_automaton
 from oracles import (
     char_vector,
     escape_exists,
@@ -32,6 +33,7 @@ from oracles import (
     inner_product,
     preimage,
     preimage_matrix,
+    reference_trans_len_k,
     rref_basis,
     shortest_escape,
     vector_times_matrix,
@@ -186,6 +188,92 @@ class TestConeSequence:
                     for suffix in itertools.product([0], repeat=suffix_len):
                         expected.add(k_vector(aut, (1,) + suffix).vector)
                 assert tier == expected
+
+
+def orbit_instance(rng, n, fibers):
+    """Two random permutations acting transitively plus one letter with a
+    fiber of each size in ``fibers`` (2 merges a pair, 3 a triple) and every
+    other state mapped one to one: its k-vector orbit under the group is
+    large and not made of unit differences."""
+    while True:
+        perms = [tuple(rng.sample(range(n), n)) for _ in range(2)]
+        if is_transitive(perms, n):
+            break
+    states = rng.sample(range(n), n)
+    blocks = []
+    for size in fibers:
+        blocks.append(states[:size])
+        states = states[size:]
+    blocks += [[q] for q in states]
+    row = [0] * n
+    for block, image in zip(blocks, rng.sample(range(n), len(blocks))):
+        for q in block:
+            row[q] = image
+    return Automaton(("a", "b", "c"), (*perms, tuple(row)))
+
+
+class TestConeTransientAgainstReference:
+    """``cone_sequence`` decides the cone transient by a running rank and one
+    subspace test per level; the per-vector membership loop of
+    ``reference_trans_len_k`` is the reference."""
+
+    @staticmethod
+    def check(aut, a_set=None):
+        cone = cone_sequence(aut, a_set)
+        got = (cone.span_dim, cone.trans_len_k, cone.trans_len_t)
+        assert got == reference_trans_len_k(aut, a_set), aut.table
+        return cone
+
+    def test_orbit_instances(self):
+        rng = random.Random(2024)
+        patterns = ((2, 2), (2, 2, 2), (3,), (3, 2))
+        early = 0
+        for n in range(6, 11):
+            for fibers in rng.sample(patterns, 2):
+                cone = self.check(orbit_instance(rng, n, fibers))
+                assert cone.is_subspace
+                early += cone.trans_len_k < cone.trans_len_t
+        assert early > 0
+
+    def test_random_st_batch(self):
+        for _, aut in random_st_batch(48, range(5, 17), 11):
+            self.check(aut)
+
+    def test_cerny(self):
+        for n in range(2, 21):
+            self.check(cerny(n))
+
+    def test_nontransitive_perm_sets(self):
+        # random permutation letters and random deficient letters, with a
+        # permutation set drawn until it is not transitive: every level
+        # without a rank rise takes the per-vector fallback
+        rng = random.Random(77)
+        kinds = set()
+        checked = 0
+        while checked < 60:
+            n = rng.randrange(3, 8)
+            perms = [tuple(rng.sample(range(n), n)) for _ in range(rng.randrange(1, 4))]
+            deficient = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(rng.randrange(1, 3))]
+            rows = (*perms, *deficient)
+            aut = Automaton(tuple("abcde"[: len(rows)]), rows)
+            a_set = tuple(a for a in range(len(perms)) if rng.random() < 0.6)
+            if 0 in aut.letter_defects[len(perms):]:
+                continue
+            if is_transitive([perms[a] for a in a_set], n):
+                continue
+            cone = self.check(aut, a_set)
+            assert not cone.is_subspace
+            checked += 1
+            kinds.add(cone.trans_len_k < cone.trans_len_t)
+        assert kinds == {True, False}
+
+    def test_at_most_one_lp_per_level(self, monkeypatch):
+        # n = 8, one letter merging two pairs: 420 limit vectors under the group
+        aut = orbit_instance(random.Random(8), 8, (2, 2))
+        counts = count_calls(monkeypatch, "linalg.in_cone")
+        cone = cone_sequence(aut)
+        assert cone.is_subspace and len(cone.limit_generators) == 420
+        assert counts["in_cone"] <= cone.trans_len_k + 1
 
 
 class TestLimitSubspace:

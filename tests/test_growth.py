@@ -22,7 +22,15 @@ from synchro.growth import (
     translen_k_bound,
     verify_growth_lemmas,
 )
-from synchro.permgroup import resolve_perm_set
+from synchro.permgroup import is_transitive, resolve_perm_set
+
+
+def growth_lemmas(aut, a_set=None):
+    """``verify_growth_lemmas`` on the growth trace of ``aut`` under the
+    permutation set ``a_set``, with its transitivity tested here."""
+    perms = resolve_perm_set(aut, a_set)[1]
+    return verify_growth_lemmas(gamma_growth(aut, perms), is_transitive(perms, aut.n))
+
 
 def reachability_matrix(g: Digraph) -> dict[tuple[int, int], bool]:
     """Independent transitive-closure oracle (Floyd-Warshall over booleans)."""
@@ -192,14 +200,14 @@ class TestGrowth:
 
 class TestGrowthLemmas:
     def test_family_checks_pass(self, c4):
-        report = verify_growth_lemmas(gamma_growth(c4, resolve_perm_set(c4, (0,))[1]))
+        report = growth_lemmas(c4, (0,))
         assert report.ok
         assert report.by_name("strong_stable_late_when_few_components").status == "pass"
         assert report.by_name("strong_stable_by_n_when_many_components").status == "n/a"
 
     def test_two_state_family_hits_many_component_branch(self):
         aut = cerny(2)
-        report = verify_growth_lemmas(gamma_growth(aut, resolve_perm_set(aut, (0,))[1]))
+        report = growth_lemmas(aut, (0,))
         assert report.ok
         assert report.by_name("strong_stable_by_n_when_many_components").status == "pass"
 
@@ -207,7 +215,7 @@ class TestGrowthLemmas:
         perm = (2, 3, 4, 5, 0, 1)
         merge = (1, 1, 2, 3, 4, 5)
         aut = Automaton(("a", "b"), (perm, merge))
-        report = verify_growth_lemmas(gamma_growth(aut, resolve_perm_set(aut, (0,))[1]))
+        report = growth_lemmas(aut, (0,))
         assert report.ok
         assert report.by_name("weak_equals_strong_at_limit").status == "n/a"
         assert report.by_name("incidence_rank_matches_weak_components").status == "pass"
@@ -228,7 +236,7 @@ class TestGrowthLemmas:
             trace,
             decompositions=(dataclasses.replace(deco, wccs=wrong),) + trace.decompositions[1:],
         )
-        check = verify_growth_lemmas(tampered).by_name(
+        check = verify_growth_lemmas(tampered, True).by_name(
             "incidence_rank_matches_weak_components"
         )
         assert check.status == "fail"
@@ -239,7 +247,7 @@ class TestGrowthLemmas:
         for _ in range(10):
             n = rng.randrange(4, 9)
             aut = random_st(n, rng.choice((1, 2)), 1, rng.randrange(1 << 20))
-            assert verify_growth_lemmas(gamma_growth(aut, resolve_perm_set(aut)[1])).ok
+            assert growth_lemmas(aut).ok
 
 
 class TestTransientBound:
@@ -264,7 +272,7 @@ class TestTransientBound:
         assert cone.span_dim == 2 and trace.d == 2
         assert translen_k_bound(aut, cone) == 4
         assert cone.trans_len_k <= 4
-        report = verify_growth_lemmas(trace)
+        report = verify_growth_lemmas(trace, cone.is_subspace)
         assert report.ok
         assert report.by_name("strong_stable_by_n_when_many_components").status == "pass"
 

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synchro.linalg import (
+    RowEchelon,
     _cone_lp_feasible,
+    cone_is_subspace,
     in_cone,
     orthogonal_complement,
     span_basis,
@@ -222,6 +224,13 @@ class TestEliminationAgainstRationalRREF:
             assert all(type(x) is int for v in comp for x in v)
             assert all(math.gcd(*v) == 1 for v in comp)
             assert rref_basis(comp, n) == rref_complement(oracle), vecs
+            # the running elimination, one row at a time
+            echelon = RowEchelon(n)
+            for i, v in enumerate(vecs):
+                rank = echelon.rank
+                raised = echelon.add(v)
+                assert echelon.rank == rref_basis(vecs[: i + 1], n).dim, vecs
+                assert raised == (echelon.rank > rank), vecs
             kinds.add(("empty", not vecs))
             kinds.add(("deficient", oracle.dim < len(vecs)))
             kinds.add(("huge", any(abs(x) > 10**9 for v in vecs for x in v)))
@@ -375,6 +384,62 @@ class TestCone:
             expected = reachable(arcs, p, q)
             assert _cone_lp_feasible(target, gens) == expected
             assert in_cone(target, gens) == expected
+
+
+def subspace_by_definition(gens):
+    """The cone holds -g for every generator g, each tested by the LP."""
+    return all(_cone_lp_feasible(tuple(-x for x in g), gens) for g in gens)
+
+
+class TestConeIsSubspace:
+    def test_small_cases(self):
+        assert cone_is_subspace([], 3)
+        assert cone_is_subspace([(0, 0)], 2)
+        assert not cone_is_subspace([(1, -1)], 2)
+        assert cone_is_subspace([(1, -1), (-1, 1)], 2)
+        assert cone_is_subspace([(2, -1, -1), (-1, 2, -1), (-1, -1, 2)], 3)
+        assert not cone_is_subspace([(2, -1, -1), (-1, 2, -1)], 3)
+        with pytest.raises(ValueError):
+            cone_is_subspace([(1, -1)], 3)
+
+    def test_random_integer_sets(self):
+        # zero vectors, duplicates, +-v pairs and sets summing to zero are
+        # planted among small random vectors
+        rng = random.Random(4242)
+        seen = set()
+        for trial in range(600):
+            n = trial % 8 + 1
+            gens = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randrange(0, 6))]
+            kind = rng.choice(("plain", "zero", "duplicate", "negated", "sum zero"))
+            if kind == "zero":
+                gens.append((0,) * n)
+            elif kind == "duplicate" and gens:
+                gens.append(rng.choice(gens))
+            elif kind == "negated" and gens:
+                gens.append(tuple(-x for x in rng.choice(gens)))
+            elif kind == "sum zero" and gens:
+                gens.append(tuple(-sum(column) for column in zip(*gens)))
+            rng.shuffle(gens)
+            expected = subspace_by_definition(gens)
+            assert cone_is_subspace(gens, n) == expected, gens
+            seen.add((kind, expected))
+        assert {kind for kind, _ in seen} == {"plain", "zero", "duplicate", "negated", "sum zero"}
+        assert {expected for _, expected in seen} == {True, False}
+
+    def test_unit_differences_reach_against_lp(self):
+        # unit differences take the reachability branch; doubling every
+        # generator keeps the cone and sends it through the LP branch
+        rng = random.Random(515)
+        seen = set()
+        for trial in range(600):
+            n = trial % 7 + 2
+            arcs = [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randrange(1, 2 * n))]
+            gens = [unit_difference(head, tail, n) for tail, head in arcs]
+            expected = subspace_by_definition(gens)
+            assert cone_is_subspace(gens, n) == expected, arcs
+            assert cone_is_subspace([tuple(2 * x for x in g) for g in gens], n) == expected, arcs
+            seen.add(expected)
+        assert seen == {True, False}
 
 
 class TestPolarCone:

@@ -250,14 +250,14 @@ class TestLemmaSuite:
         assert inst.by_name(ESCAPE).status == inst.by_name(EXTENSION).status == "pass"
 
     def test_perm_set_resolved_and_tested_once_per_reader(self, monkeypatch):
-        # resolved by cone_sequence alone; tested for transitivity by
-        # cone_sequence and verify_growth_lemmas (lemma_suite and
-        # translen_k_bound read cone.is_subspace)
+        # resolved and tested for transitivity by cone_sequence alone
+        # (lemma_suite, verify_growth_lemmas and translen_k_bound read
+        # cone.is_subspace)
         counts = count_calls(
             monkeypatch, "permgroup.resolve_perm_set", "permgroup.is_transitive"
         )
         assert lemma_suite(cerny(6)).ok
-        assert counts == {"resolve_perm_set": 1, "is_transitive": 2}
+        assert counts == {"resolve_perm_set": 1, "is_transitive": 1}
 
     def test_arc_shift_closure_names_the_first_escaping_arc(self, monkeypatch):
         # with levels 1 and 3 cut back to the seed arc (1, 2), arcs of both
