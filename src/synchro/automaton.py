@@ -6,8 +6,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import NotSynchronizing, ResourceCap
 
@@ -131,17 +132,22 @@ class Automaton:
         return tuple(out)
 
     @cached_property
-    def preimage_mask_table(self) -> tuple[tuple[int, ...], ...]:
+    def preimage_mask_table(self) -> tuple[list[int], ...]:
         """Per letter, the preimage mask of every subset mask; O(k * 2^n) total."""
-        size = 1 << self.n
-        tables = []
-        for state_masks in self.preimage_state_masks:
-            tab = [0] * size
-            for mask in range(1, size):
-                low = mask & -mask
-                tab[mask] = tab[mask ^ low] | state_masks[low.bit_length() - 1]
-            tables.append(tuple(tab))
-        return tuple(tables)
+        return tuple(subset_table(masks, or_) for masks in self.preimage_state_masks)
+
+    @cached_property
+    def image_chunks(self) -> tuple[tuple[list[int], ...], ...]:
+        """Per letter, per 8-bit chunk of a subset mask, the image mask of
+        every chunk value (see :func:`image_mask`).  A partial last chunk gets
+        a table of ``2 ** (n % 8)`` entries."""
+        return _chunk_tables(tuple(tuple(1 << img for img in row) for row in self.table))
+
+    @cached_property
+    def preimage_chunks(self) -> tuple[tuple[list[int], ...], ...]:
+        """Per letter, per 8-bit chunk of a subset mask, the preimage mask of
+        every chunk value (see :func:`preimage_mask`)."""
+        return _chunk_tables(self.preimage_state_masks)
 
     @cached_property
     def letter_defects(self) -> tuple[int, ...]:
@@ -185,24 +191,45 @@ def reach(succ_masks: Sequence[int], start_mask: int) -> int:
     return seen
 
 
-def image_mask(aut: Automaton, mask: int, a: int) -> int:
-    row = aut.table[a]
+def subset_table(values: Sequence, combine: Callable) -> list:
+    """``table[m]`` is ``combine`` folded over ``values[i]`` for every set bit
+    i of m, starting from 0; the table has ``2 ** len(values)`` entries.
+
+    Built by doubling: value i extends the table for bits below i by its
+    entries combined with ``values[i]``.
+    """
+    table = [0]
+    for value in values:
+        table.extend(map(combine, table, repeat(value, len(table))))
+    return table
+
+
+def _chunk_tables(state_masks: Sequence[Sequence[int]]) -> tuple[tuple[list[int], ...], ...]:
+    """Per letter, one OR table per 8-bit slice of that letter's state masks."""
+    return tuple(
+        tuple(subset_table(masks[base:base + 8], or_) for base in range(0, len(masks), 8))
+        for masks in state_masks
+    )
+
+
+def _chunk_lookup(tables: Sequence[Sequence[int]], mask: int) -> int:
+    """OR of ``tables[c][(mask >> 8 * c) & 0xFF]`` over the chunks c, up to the
+    last nonzero one."""
     out = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out |= 1 << row[low.bit_length() - 1]
+    for tab in tables:
+        if not mask:
+            break
+        out |= tab[mask & 0xFF]
+        mask >>= 8
     return out
+
+
+def image_mask(aut: Automaton, mask: int, a: int) -> int:
+    return _chunk_lookup(aut.image_chunks[a], mask)
 
 
 def preimage_mask(aut: Automaton, mask: int, a: int) -> int:
-    masks = aut.preimage_state_masks[a]
-    out = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out |= masks[low.bit_length() - 1]
-    return out
+    return _chunk_lookup(aut.preimage_chunks[a], mask)
 
 
 def word_image_mask(aut: Automaton, mask: int, word: Word) -> int:
@@ -216,25 +243,6 @@ def word_preimage_mask(aut: Automaton, mask: int, word: Word) -> int:
     for a in reversed(word):
         mask = preimage_mask(aut, mask, a)
     return mask
-
-
-def image_chunk_tables(aut: Automaton) -> list[list[list[int]]]:
-    """Per letter, per 8-bit chunk of a subset mask, the image mask of every
-    chunk value; the image of ``mask`` under letter ``a`` is the OR over
-    chunks ``c`` of ``tables[a][c][(mask >> 8 * c) & 0xFF]``.  A partial last
-    chunk gets a table of ``2 ** (n % 8)`` entries."""
-    tables = []
-    for row in aut.table:
-        letter_tables = []
-        for base in range(0, aut.n, 8):
-            bits = [1 << img for img in row[base:base + 8]]
-            tab = [0] * (1 << len(bits))
-            for value in range(1, len(tab)):
-                low = value & -value
-                tab[value] = tab[value ^ low] | bits[low.bit_length() - 1]
-            letter_tables.append(tab)
-        tables.append(letter_tables)
-    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +317,7 @@ def reset_threshold_exact(aut: Automaton, cap: int = DEFAULT_SUBSET_CAP) -> tupl
     Breadth-first search on the subset lattice, level by level, starting from
     the full state set and applying letters forward, so the first singleton
     reached sits at minimum depth.  Each level's images come from
-    ``image_chunk_tables``, one list per letter; they are then scanned in
+    ``Automaton.image_chunks``, one list per letter; they are then scanned in
     (subset, letter) order, subsets in the order they were discovered and
     letters in alphabet order, and each new subset keeps its first
     discoverer.  So ties among shortest words are broken by letter order and
@@ -322,7 +330,7 @@ def reset_threshold_exact(aut: Automaton, cap: int = DEFAULT_SUBSET_CAP) -> tupl
     if full.bit_count() == 1:
         return 0, EPSILON
     k = len(aut.letters)
-    tables = image_chunk_tables(aut)
+    tables = aut.image_chunks
     shifts = range(0, aut.n, 8)
     # parents[mask] = prev * k + a: ``mask`` was first reached as prev.a.
     parents: dict[int, int] = {full: -1}

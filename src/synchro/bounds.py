@@ -148,13 +148,9 @@ def synthesize_reset_word(aut: Automaton, a_set: Sequence[int] | None = None) ->
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """All bound values for one automaton and permutation set."""
+    """All bound values for one automaton and the permutation set of its cone."""
 
-    n: int
-    a_letters: tuple[int, ...]
-    dim: int
-    trans_len_k: int
-    trans_len_t: int
+    cone: ConeReport
     group_order: int | None
     d_exact_power: int | None
     d_prefix_closed: int | None
@@ -181,11 +177,7 @@ def build_bounds_report(aut: Automaton, cone: ConeReport, group_cap: int) -> Bou
     except UnsupportedAlphabet:
         defect1 = None
     return BoundsReport(
-        n=n,
-        a_letters=cone.a_letters,
-        dim=cone.span_dim,
-        trans_len_k=cone.trans_len_k,
-        trans_len_t=cone.trans_len_t,
+        cone=cone,
         group_order=diameters.order if diameters else None,
         d_exact_power=diameters.exact_power if diameters else None,
         d_prefix_closed=diameters.prefix_closed if diameters else None,

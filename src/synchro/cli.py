@@ -22,12 +22,12 @@ from .automaton import (
     word_image_mask,
 )
 from .bounds import BoundsReport, build_bounds_report, synthesize_reset_word
-from .cones import ConeReport, cone_sequence
+from .cones import ConeReport, resolved_cone_sequence
 from .errors import NotSynchronizing, SynchroError
 from .fileformat import emit_automaton, parse_automaton
 from .generate import cerny, random_st
 from .growth import GrowthTrace, gamma_growth
-from .permgroup import DEFAULT_GROUP_CAP, resolve_perm_set
+from .permgroup import DEFAULT_GROUP_CAP, Perm, resolve_perm_set
 from .verify import suite_bounds, suite_cerny, suite_enumerate, suite_lemmas
 
 
@@ -150,10 +150,12 @@ def _read_automaton(path: str) -> Automaton:
         return parse_automaton(handle.read())
 
 
-def _resolve_perm_set(aut: Automaton, names: str | None) -> tuple[int, ...]:
+def _resolve_perm_set(
+    aut: Automaton, names: str | None
+) -> tuple[tuple[int, ...], tuple[Perm, ...]]:
     if names is None:
-        return resolve_perm_set(aut)[0]
-    return resolve_perm_set(aut, [aut.letter_index(nm.strip()) for nm in names.split(",")])[0]
+        return resolve_perm_set(aut)
+    return resolve_perm_set(aut, [aut.letter_index(nm.strip()) for nm in names.split(",")])
 
 
 def _automaton_dict(aut: Automaton) -> dict:
@@ -194,12 +196,13 @@ def _growth_dict(trace: GrowthTrace) -> dict:
 
 
 def _bounds_dict(report: BoundsReport, aut: Automaton) -> dict:
+    cone = report.cone
     return {
-        "n": report.n,
-        "perm_set": [aut.letters[a] for a in report.a_letters],
-        "dim": report.dim,
-        "trans_len_k": report.trans_len_k,
-        "trans_len_t": report.trans_len_t,
+        "n": cone.n,
+        "perm_set": [aut.letters[a] for a in cone.a_letters],
+        "dim": cone.span_dim,
+        "trans_len_k": cone.trans_len_k,
+        "trans_len_t": cone.trans_len_t,
         "group_order": report.group_order,
         "d_exact_power": report.d_exact_power,
         "d_prefix_closed": report.d_prefix_closed,
@@ -221,11 +224,11 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     aut = _read_automaton(args.file)
-    a_ids = _resolve_perm_set(aut, args.perm_set)
+    a_ids, perms = _resolve_perm_set(aut, args.perm_set)
     sync = is_synchronizing(aut)
     if not sync:
         raise NotSynchronizing("automaton admits no reset word")
-    cone = cone_sequence(aut, a_ids)
+    cone = resolved_cone_sequence(aut, a_ids, perms)
     try:
         trace = gamma_growth(aut, cone.perms)
         growth = _growth_dict(trace)
@@ -285,7 +288,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
     aut = _read_automaton(args.file)
-    a_ids = _resolve_perm_set(aut, args.perm_set)
+    a_ids = _resolve_perm_set(aut, args.perm_set)[0]
     result = synthesize_reset_word(aut, a_ids)
     report = {
         "command": "synthesize",

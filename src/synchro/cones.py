@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 from typing import Sequence
 
 from .automaton import (
@@ -24,6 +25,7 @@ from .automaton import (
     is_synchronizing,
     mask_of,
     preimage_mask,
+    subset_table,
     word_preimage_mask,
 )
 from .errors import (
@@ -66,15 +68,6 @@ def shift_vector(vector: Vector, perm: Perm) -> Vector:
     for q, value in enumerate(vector):
         out[perm[q]] = value
     return tuple(out)
-
-
-def subset_sums(vector: Sequence, size: int) -> list:
-    """sums[mask] = sum of vector coordinates selected by mask, for all masks."""
-    sums = [0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + vector[low.bit_length() - 1]
-    return sums
 
 
 def masked_sum(vector: Sequence, mask: int):
@@ -130,7 +123,16 @@ class ConeReport:
 
 
 def cone_sequence(aut: Automaton, a_set: Sequence[int] | None = None) -> ConeReport:
-    """Iterate the generator sets to both transient lengths.
+    """:func:`resolved_cone_sequence` under the permutation letters ``a_set``
+    (default: every defect-0 letter); rejects letters of positive defect."""
+    return resolved_cone_sequence(aut, *resolve_perm_set(aut, a_set))
+
+
+def resolved_cone_sequence(
+    aut: Automaton, a_ids: tuple[int, ...], perms: tuple[Perm, ...]
+) -> ConeReport:
+    """Iterate the generator sets under the permutation letters ``a_ids``,
+    whose permutations are ``perms``, to both transient lengths.
 
     The set transient is the first level whose shift adds no new vector; the
     cone transient K is the first level at which every newly shifted
@@ -146,7 +148,6 @@ def cone_sequence(aut: Automaton, a_set: Sequence[int] | None = None) -> ConeRep
     LP (``cone_is_subspace``).  Only a non-transitive set still tests each
     new vector for cone membership with its own LP.
     """
-    a_ids, perms = resolve_perm_set(aut, a_set)
     deficient = deficient_letters(aut)
     if not deficient:
         raise NoDeficientLetters("every letter is a permutation")
@@ -333,12 +334,10 @@ def ell_all(
 def escaped_masks(vectors: Sequence[Vector], n: int) -> bytearray:
     """escaped[m] is 1 exactly when the subset with mask ``m`` lies outside
     the polar cone, i.e. some vector has a positive sum over it."""
-    size = 1 << n
-    escaped = bytearray(size)
+    escaped = bytearray(1 << n)
     for vec in vectors:
-        sums = subset_sums(vec, size)
-        for m in range(size):
-            if sums[m] > 0:
+        for m, total in enumerate(subset_table(vec, add)):
+            if total > 0:
                 escaped[m] = 1
     return escaped
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 import random
 import string
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .automaton import Automaton, is_synchronizing
 from .errors import ResourceCap, RetryExhausted
@@ -81,39 +81,11 @@ def random_st(
     )
 
 
-def canonical_form(aut: Automaton) -> tuple:
-    """Minimum-lexicographic transition table over all state relabelings.
-
-    Intended for deduplicating enumerated instances; the factorial sweep
-    restricts it to at most 4 states.
-    """
-    n = aut.n
-    if n > 4:
-        raise ValueError("canonical form supported for n <= 4 only")
-    best = None
-    for relabel in itertools.permutations(range(n)):
-        table = tuple(
-            tuple(relabel[row[inverse]] for inverse in _inverse_order(relabel))
-            for row in aut.table
-        )
-        if best is None or table < best:
-            best = table
-    return best
-
-
-def _inverse_order(relabel: Sequence[int]) -> list[int]:
-    inv = [0] * len(relabel)
-    for old, new in enumerate(relabel):
-        inv[new] = old
-    return inv
-
-
-def enumerate_automata(n: int, k: int, *, dedup: bool = False) -> Iterator[Automaton]:
+def enumerate_automata(n: int, k: int) -> Iterator[Automaton]:
     """Stream every k-letter transition table on n states.
 
-    With ``dedup`` only one representative per state-relabeling class is
-    emitted.  The raw count n^(n*k) is checked against ``ENUM_CAP``
-    up front so a hopeless sweep fails fast instead of running forever.
+    The raw count n^(n*k) is checked against ``ENUM_CAP`` up front so a
+    hopeless sweep fails fast instead of running forever.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
@@ -121,15 +93,8 @@ def enumerate_automata(n: int, k: int, *, dedup: bool = False) -> Iterator[Autom
     if total > ENUM_CAP:
         raise ResourceCap(f"enumeration of {total} tables exceeds cap {ENUM_CAP}")
     names = _letter_names(k)
-    seen: set[tuple] = set()
     for rows in itertools.product(itertools.product(range(n), repeat=n), repeat=k):
-        aut = Automaton(names, rows)
-        if dedup:
-            canon = canonical_form(aut)
-            if canon in seen:
-                continue
-            seen.add(canon)
-        yield aut
+        yield Automaton(names, rows)
 
 
 def exhaustive_st_instances(n: int) -> Iterator[Automaton]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from operator import add
 from typing import Sequence
 
 from .automaton import (
@@ -19,6 +20,7 @@ from .automaton import (
     is_synchronizing,
     reset_threshold_exact,
     states_of,
+    subset_table,
     word_image_mask,
     word_preimage_mask,
 )
@@ -29,7 +31,6 @@ from .cones import (
     escape_word_from_steps,
     k_vector,
     masked_sum,
-    subset_sums,
 )
 from .errors import CapExceeded, NotSynchronizing
 from .generate import cerny, enumerate_automata, exhaustive_st_instances, random_st
@@ -126,7 +127,7 @@ def lemma_suite(aut: Automaton) -> LemmaReport:
     for word in words:
         vec = k_vector(aut, word).vector
         if exhaustive:
-            sums = subset_sums(vec, size)
+            sums = subset_table(vec, add)
             arr = list(range(size))
             for a in reversed(word):
                 tab = pre_tabs[a]

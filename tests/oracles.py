@@ -39,6 +39,49 @@ def defect(aut, word):
     return aut.n - word_image_mask(aut, aut.full_mask, word).bit_count()
 
 
+# ---------------------------------------------------------------------------
+# subset tables and images by the loops that ``automaton.subset_table`` and
+# the chunk lookups replaced: one low bit of the mask at a time
+
+def reference_subset_sums(vector, size):
+    """sums[mask] = sum of vector coordinates selected by mask, for all masks."""
+    sums = [0] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + vector[low.bit_length() - 1]
+    return sums
+
+
+def reference_preimage_table(state_masks):
+    """tab[mask] = OR of ``state_masks[i]`` over the set bits i of mask, for
+    every mask below ``2 ** len(state_masks)``."""
+    tab = [0] * (1 << len(state_masks))
+    for mask in range(1, len(tab)):
+        low = mask & -mask
+        tab[mask] = tab[mask ^ low] | state_masks[low.bit_length() - 1]
+    return tab
+
+
+def reference_image_mask(aut, mask, a):
+    row = aut.table[a]
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= 1 << row[low.bit_length() - 1]
+    return out
+
+
+def reference_preimage_mask(aut, mask, a):
+    masks = aut.preimage_state_masks[a]
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= masks[low.bit_length() - 1]
+    return out
+
+
 def char_vector(states, n):
     """0/1 indicator of a 1-indexed state set as a length-n vector."""
     out = [0] * n

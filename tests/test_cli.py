@@ -24,6 +24,8 @@ SCHEMA = json.loads(
 
 C4_TEXT = "4 2\na 2 3 4 1\nb 2 2 3 4\n"
 NONSYNC_TEXT = "2 2\na 2 1\nb 1 2\n"
+# not synchronizing (state 3 is fixed by both letters), and b has defect 1
+NONSYNC_DEFICIENT_TEXT = "3 2\na 2 1 3\nb 1 1 3\n"
 
 
 @pytest.fixture
@@ -60,11 +62,11 @@ class TestAnalyze:
         text = capsys.readouterr().out
         assert "bounds: main 9, square 9, rystsov 15/13, defect1 11" in text
 
-    def test_perm_set_resolved_twice(self, monkeypatch, capsys, c4_file):
-        # for --perm-set, then in cone_sequence; growth and bounds read the cone
+    def test_perm_set_resolved_once(self, monkeypatch, capsys, c4_file):
+        # for --perm-set; the cone, growth and bounds take the resolved set
         counts = count_calls(monkeypatch, "permgroup.resolve_perm_set")
         assert main(["analyze", c4_file]) == 0
-        assert counts == {"resolve_perm_set": 2}
+        assert counts == {"resolve_perm_set": 1}
 
     def test_nonsynchronizing_exit_code(self, capsys, tmp_path):
         path = tmp_path / "p.txt"
@@ -302,6 +304,16 @@ class TestGenerate:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["analyze", "synthesize"])
+    def test_deficient_perm_set_reported_before_nonsynchronizing(
+        self, capsys, tmp_path, command
+    ):
+        path = tmp_path / "nonsync.txt"
+        path.write_text(NONSYNC_DEFICIENT_TEXT)
+        code = main([command, str(path), "--perm-set", "b"])
+        assert code == NotAPermutation.exit_code
+        assert "NotAPermutation" in capsys.readouterr().err
+
     def test_listed_codes_are_distinct(self):
         codes = {
             ParseError.exit_code,

@@ -1,12 +1,9 @@
-import itertools
-
 import pytest
 
 from synchro import generate
 from synchro.automaton import is_strongly_connected, is_synchronizing, reset_threshold_exact
 from synchro.errors import ResourceCap, RetryExhausted
 from synchro.generate import (
-    canonical_form,
     cerny,
     enumerate_automata,
     exhaustive_st_instances,
@@ -77,24 +74,6 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(ResourceCap):
             list(enumerate_automata(5, 3))
-
-    def test_dedup_shrinks_and_covers(self):
-        raw = list(enumerate_automata(2, 1))
-        deduped = list(enumerate_automata(2, 1, dedup=True))
-        assert len(deduped) == 3  # both constants collapse to one class
-        emitted = {canonical_form(a) for a in deduped}
-        for aut in raw:
-            assert canonical_form(aut) in emitted
-
-    def test_canonical_form_is_relabeling_invariant(self):
-        for aut in itertools.islice(enumerate_automata(3, 2), 0, 729, 97):
-            rotate = [(q + 1) % aut.n for q in range(aut.n)]
-            rotated_table = tuple(
-                tuple(rotate[row[rotate.index(q)]] for q in range(aut.n))
-                for row in aut.table
-            )
-            relabeled = type(aut)(aut.letters, rotated_table)
-            assert canonical_form(relabeled) == canonical_form(aut)
 
     def test_exhaustive_st_filter(self):
         instances = list(exhaustive_st_instances(2))

@@ -3,19 +3,21 @@
 ``reference_threshold`` is the one-deque, one-image-at-a-time breadth-first
 search that ``reset_threshold_exact`` used before image tables.  The fast
 search must return the identical ``(rt, witness)`` pair, raise at the same
-caps, and its chunk tables must agree with ``image_mask`` bit for bit.
+caps, and the image and preimage chunk tables must agree with the bit loops
+bit for bit.
 """
 
 import random
 from collections import deque
+from operator import attrgetter
 
 import pytest
 
 from synchro.automaton import (
     Automaton,
-    image_chunk_tables,
     image_mask,
     is_synchronizing,
+    preimage_mask,
     reset_threshold_exact,
 )
 from synchro.errors import NotSynchronizing, ResourceCap
@@ -23,6 +25,7 @@ from synchro.generate import cerny, enumerate_automata, random_st
 from synchro.verify import random_st_batch
 
 from conftest import random_automaton
+from oracles import reference_image_mask, reference_preimage_mask
 
 
 def reference_threshold(aut: Automaton, cap: int) -> tuple[int, tuple[int, ...]]:
@@ -38,7 +41,7 @@ def reference_threshold(aut: Automaton, cap: int) -> tuple[int, tuple[int, ...]]
     while queue:
         mask = queue.popleft()
         for a in range(k):
-            nxt = image_mask(aut, mask, a)
+            nxt = reference_image_mask(aut, mask, a)
             if nxt in parents:
                 continue
             parents[nxt] = (a, mask)
@@ -130,12 +133,25 @@ class TestCapBoundary:
         )
 
 
+# (chunk tables, chunked lookup, bit loop) per direction
+DIRECTIONS = {
+    "image": (attrgetter("image_chunks"), image_mask, reference_image_mask),
+    "preimage": (attrgetter("preimage_chunks"), preimage_mask, reference_preimage_mask),
+}
+CHUNK_NS = [1, 2, 7, 8, 9, 15, 16, 17, 24, 25]
+
+
 class TestChunkTables:
-    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 15, 16, 17, 24, 25])
-    def test_chunk_image_equals_image_mask(self, n):
+    @pytest.mark.parametrize(
+        "direction, n",
+        [("image", n) for n in CHUNK_NS] + [("preimage", n) for n in CHUNK_NS],
+        ids=[str(n) for n in CHUNK_NS] + [f"preimage-{n}" for n in CHUNK_NS],
+    )
+    def test_chunk_image_equals_image_mask(self, direction, n):
+        chunk_tables, lookup, bit_loop = DIRECTIONS[direction]
         rng = random.Random(1000 + n)
         aut = random_automaton(rng, n, 3)
-        tables = image_chunk_tables(aut)
+        tables = chunk_tables(aut)
         chunks = (n + 7) // 8
         for letter_tables in tables:
             assert len(letter_tables) == chunks
@@ -143,4 +159,6 @@ class TestChunkTables:
         masks = [aut.full_mask] + [rng.randrange(1, 1 << n) for _ in range(200)]
         for mask in masks:
             for a in range(3):
-                assert chunk_image(tables, mask, a) == image_mask(aut, mask, a)
+                expected = bit_loop(aut, mask, a)
+                assert chunk_image(tables, mask, a) == expected
+                assert lookup(aut, mask, a) == expected
