@@ -2,10 +2,12 @@
 polar-escape lengths, and the subset-extension engine.
 
 For a word w, the vector k_w records per state the preimage fiber size minus
-one, so ``<char(S), k_w> = |S.w^-1| - |S|`` exactly.  Seeding with the
-deficient letters and repeatedly shifting by the chosen permutation letters
-yields a monotone generator sequence T_0 <= T_1 <= ... whose rational cones
-K_i stabilize; the stabilized cone drives every extension bound below.
+one, so ``<char(S), k_w> = |S.w^-1| - |S|`` exactly; the escape and
+extension tests read that sum from the vector's support masks, one popcount
+per distinct nonzero value.  Seeding with the deficient letters and
+repeatedly shifting by the chosen permutation letters yields a monotone
+generator sequence T_0 <= T_1 <= ... whose rational cones K_i stabilize;
+the stabilized cone drives every extension bound below.
 """
 
 from __future__ import annotations
@@ -70,12 +72,25 @@ def shift_vector(vector: Vector, perm: Perm) -> Vector:
     return tuple(out)
 
 
-def masked_sum(vector: Sequence, mask: int):
+Support = tuple[tuple[int, int], ...]
+
+
+def support_masks(vector: Vector) -> Support:
+    """``((value, mask), ...)``: one state mask per distinct nonzero entry of
+    ``vector``, in order of first appearance."""
+    groups: dict[int, int] = {}
+    for q, value in enumerate(vector):
+        if value:
+            groups[value] = groups.get(value, 0) | 1 << q
+    return tuple(groups.items())
+
+
+def support_sum(support: Support, mask: int) -> int:
+    """The sum of the vector's coordinates over the subset ``mask``, from its
+    :func:`support_masks`: one popcount per distinct nonzero value."""
     total = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        total += vector[low.bit_length() - 1]
+    for value, part in support:
+        total += value * (part & mask).bit_count()
     return total
 
 
@@ -107,6 +122,11 @@ class ConeReport:
         return tuple(kv.vector for kv in self.limit_generators)
 
     @cached_property
+    def limit_supports(self) -> tuple[Support, ...]:
+        """The :func:`support_masks` of every limit generator, in order."""
+        return tuple(support_masks(kv.vector) for kv in self.limit_generators)
+
+    @cached_property
     def extension_candidates(self) -> tuple[KVector, ...]:
         """Generator words usable by the extension step, shortest-then-lex order."""
         depth = self.trans_len_k + 1
@@ -115,9 +135,10 @@ class ConeReport:
     def extension_word(self, escaped_mask: int, witness: Word) -> Word | None:
         """The first candidate word followed by ``witness`` whose vector is
         positive on the subset that ``witness`` carried out of the polar cone;
-        None when no candidate is."""
-        for kv in self.extension_candidates:
-            if masked_sum(kv.vector, escaped_mask) > 0:
+        None when no candidate is.  The candidates lead the limit generators,
+        so their supports are a prefix of ``limit_supports``."""
+        for kv, support in zip(self.extension_candidates, self.limit_supports):
+            if support_sum(support, escaped_mask) > 0:
                 return kv.word + witness
         return None
 
@@ -141,12 +162,14 @@ def resolved_cone_sequence(
     carry the stabilized set (or cone) into itself.
 
     Every vector goes through one running integer elimination, whose rank is
-    ``span_dim``.  A level where some new vector raises the rank is not K,
-    and no LP runs.  Otherwise, for a transitive permutation set the limit
-    cone is a subspace, so the level is K exactly when the current cone is
-    one: a reachability test for unit-difference generators, else one exact
-    LP (``cone_is_subspace``).  Only a non-transitive set still tests each
-    new vector for cone membership with its own LP.
+    ``span_dim``, until that rank reaches n - 1: every k-vector sums to zero,
+    so no later vector can raise it, and they skip the elimination.  A level
+    where some new vector raises the rank is not K, and no LP runs.
+    Otherwise, for a transitive permutation set the limit cone is a
+    subspace, so the level is K exactly when the current cone is one: a
+    reachability test for unit-difference generators, else one exact LP
+    (``cone_is_subspace``).  Only a non-transitive set still tests each new
+    vector for cone membership with its own LP.
     """
     deficient = deficient_letters(aut)
     if not deficient:
@@ -156,6 +179,7 @@ def resolved_cone_sequence(
     order: list[KVector] = []
     seen: set[Vector] = set()
     echelon = RowEchelon(aut.n)
+    saturated = aut.n - 1
     for b in deficient:
         kv = k_vector(aut, (b,))
         if kv.vector not in seen:
@@ -181,6 +205,8 @@ def resolved_cone_sequence(
             break
         rank = echelon.rank
         for kv in new:
+            if echelon.rank == saturated:
+                break
             echelon.add(kv.vector)
         if trans_k is None and echelon.rank == rank:
             current = [kv.vector for kv in order]
@@ -209,8 +235,11 @@ def resolved_cone_sequence(
     )
 
 
-def _escapes_polar(vectors: Sequence[Vector], mask: int) -> bool:
-    return any(masked_sum(v, mask) > 0 for v in vectors)
+def _escapes_polar(supports: Sequence[Support], mask: int) -> bool:
+    for support in supports:
+        if support_sum(support, mask) > 0:
+            return True
+    return False
 
 
 def _proper_subset_mask(aut: Automaton, s: Sequence[int] | frozenset[int]) -> int:
@@ -234,18 +263,19 @@ def ell(
         raise NotSynchronizing("polar escape needs a synchronizing automaton")
     if not is_strongly_connected(aut):
         raise NotStronglyConnected("polar escape needs a strongly connected automaton")
-    return polar_escape(aut, cone.limit_vectors, _proper_subset_mask(aut, s))
+    return polar_escape(aut, cone.limit_supports, _proper_subset_mask(aut, s))
 
 
-def polar_escape(aut: Automaton, vectors: Sequence[Vector], mask: int) -> tuple[int, Word]:
-    """The escape BFS behind :func:`ell` for a subset mask and the limit
-    generator vectors, without the checks on the automaton.
+def polar_escape(aut: Automaton, supports: Sequence[Support], mask: int) -> tuple[int, Word]:
+    """The escape BFS behind :func:`ell` for a subset mask and the
+    :func:`support_masks` of the limit generators, without the checks on the
+    automaton.
 
     The caller guarantees that ``aut`` is synchronizing and strongly
     connected and that ``mask`` is a nonempty proper subset; otherwise the
     subset may never escape and this raises InternalContradiction.
     """
-    if _escapes_polar(vectors, mask):
+    if _escapes_polar(supports, mask):
         return 0, EPSILON
     k = len(aut.letters)
     parents: dict[int, tuple[int, int]] = {mask: (-1, 0)}
@@ -257,7 +287,7 @@ def polar_escape(aut: Automaton, vectors: Sequence[Vector], mask: int) -> tuple[
             if nxt in parents:
                 continue
             parents[nxt] = (a, cur)
-            if _escapes_polar(vectors, nxt):
+            if _escapes_polar(supports, nxt):
                 word = []
                 walk = nxt
                 while walk != mask:
@@ -281,7 +311,7 @@ def extend_mask(aut: Automaton, mask: int, cone: ConeReport) -> tuple[Word, int]
     subset.  A transitive permutation set already makes the automaton
     strongly connected, so the escape needs no connectivity check either.
     """
-    ell_len, w = polar_escape(aut, cone.limit_vectors, mask)
+    ell_len, w = polar_escape(aut, cone.limit_supports, mask)
     word = cone.extension_word(word_preimage_mask(aut, mask, w), w)
     if word is None:
         raise InternalContradiction(

@@ -4,8 +4,11 @@ complements, cone membership and the test whether a cone is a subspace.
 Ranks and complements come from one Gauss-Jordan elimination on integer rows
 (``RowEchelon``, fed one row at a time, so a caller can keep a running rank)
 that divides each reduced row by the gcd of its entries, so no operation ever
-rounds and no rational arithmetic is needed.  Only the cone LP works over
-rationals.  Vectors are plain tuples.
+rounds and no rational arithmetic is needed.  Cone membership runs a
+fraction-free simplex on the same kind of rows: each pivot cross-multiplies
+and divides by the gcd, and rational inputs are scaled to integers first, so
+it takes the pivots of the rational simplex without building a fraction.
+Vectors are plain tuples.
 """
 
 from __future__ import annotations
@@ -157,70 +160,67 @@ def _reachability_membership(target: tuple[int, int], arcs: list[tuple[int, int]
 def _cone_lp_feasible(v: Sequence, gens: list[Sequence]) -> bool:
     """Exact phase-one simplex: does some c >= 0 solve sum_j c_j g_j = v?
 
-    Artificial variables start in the basis; Bland's rule guarantees
-    termination, and feasibility is equivalent to driving their exact
-    rational sum to zero.
-    """
-    from fractions import Fraction
+    Entries may be ints or exact rationals: each coordinate row is scaled by
+    the positive lcm of its entries' denominators, which keeps the solution
+    set, and negated where the target entry is negative.  Artificial
+    variables then start in the basis; Bland's rule guarantees termination,
+    and feasibility is equivalent to driving their sum to zero.
 
+    The tableau is fraction-free.  A pivot replaces each row by
+    ``primitive(pivot * row - factor * lead)`` and leaves the lead row as it
+    is, so every row (the objective row too) stays a positive multiple of
+    its rational counterpart.  Bland's entering rule reads only signs, and
+    the ratio test compares ``rhs_i / coeff_i`` by cross-multiplying, so on
+    the scaled rows every pivot is the one the rational tableau would take.
+    """
     n = len(v)
     m = len(gens)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[int]] = []
     for i in range(n):
-        row = [Fraction(g[i]) for g in gens]
-        b = Fraction(v[i])
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-        rows.append(row)
-        rhs.append(b)
-    # tableau columns: m generator vars, n artificials, rhs
-    for i in range(n):
-        rows[i].extend(Fraction(1) if j == i else Fraction(0) for j in range(n))
-        rows[i].append(rhs[i])
+        entries = [g[i] for g in gens]
+        entries.append(v[i])
+        scale = math.lcm(*(x.denominator for x in entries))
+        if v[i] < 0:
+            scale = -scale
+        *coeffs, rhs = (x.numerator * (scale // x.denominator) for x in entries)
+        artificials = [0] * n
+        artificials[i] = 1
+        # tableau columns: m generator vars, n artificials, rhs
+        rows.append(coeffs + artificials + [rhs])
     basis = [m + i for i in range(n)]
     # phase-one objective row: reduced costs for minimizing the artificial
     # sum, expressed over the nonbasic generator columns only (the basic
     # artificial columns must start at zero)
-    obj = [Fraction(0)] * (m + n + 1)
-    for row in rows:
-        for j in range(m):
-            if row[j]:
-                obj[j] -= row[j]
-        obj[-1] -= row[-1]
+    obj = [-sum(column) for column in zip(*rows)]
+    obj[m:-1] = [0] * n
     while True:
-        enter = None
-        for j in range(m + n):
-            if obj[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(m + n) if obj[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best = None
-        for i in range(n):
-            coeff = rows[i][enter]
+        for i, row in enumerate(rows):
+            coeff = row[enter]
             if coeff > 0:
-                ratio = rows[i][-1] / coeff
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                if leave is None:
+                    leave, best_rhs, best_coeff = i, row[-1], coeff
+                    continue
+                # rhs_i / coeff_i against rhs_best / coeff_best, both
+                # denominators positive
+                left, right = row[-1] * best_coeff, best_rhs * coeff
+                if left < right or (left == right and basis[i] < basis[leave]):
+                    leave, best_rhs, best_coeff = i, row[-1], coeff
         if leave is None:
             # artificial objective is bounded below by zero; unbounded descent
             # cannot happen, so an absent leaving row means optimality.
             break
-        pivot = rows[leave][enter]
-        if pivot != 1:
-            rows[leave] = [x / pivot for x in rows[leave]]
         lead = rows[leave]
-        for i in range(n):
-            if i != leave and rows[i][enter]:
-                factor = rows[i][enter]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], lead)]
-        if obj[enter]:
-            factor = obj[enter]
-            obj = [x - factor * y for x, y in zip(obj, lead)]
+        pivot = lead[enter]
+        for i, row in enumerate(rows):
+            factor = row[enter]
+            if factor and i != leave:
+                rows[i] = _primitive([pivot * x - factor * y for x, y in zip(row, lead)])
+        factor = obj[enter]
+        obj = _primitive([pivot * x - factor * y for x, y in zip(obj, lead)])
         basis[leave] = enter
     return obj[-1] == 0
 

@@ -30,7 +30,8 @@ from .cones import (
     ell_all,
     escape_word_from_steps,
     k_vector,
-    masked_sum,
+    support_masks,
+    support_sum,
 )
 from .errors import CapExceeded, NotSynchronizing
 from .generate import cerny, enumerate_automata, exhaustive_st_instances, random_st
@@ -138,9 +139,10 @@ def lemma_suite(aut: Automaton) -> LemmaReport:
                     identity_detail = f"word {word}, subset mask {mask}"
                     break
         else:
+            support = support_masks(vec)
             for mask in masks:
                 got = word_preimage_mask(aut, mask, word).bit_count() - mask.bit_count()
-                if got != masked_sum(vec, mask):
+                if got != support_sum(support, mask):
                     identity_ok = False
                     identity_detail = f"word {word}, subset mask {mask}"
                     break

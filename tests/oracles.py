@@ -82,6 +82,16 @@ def reference_preimage_mask(aut, mask, a):
     return out
 
 
+def reference_masked_sum(vector, mask):
+    """The sum of the coordinates of ``vector`` selected by ``mask``."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        total += vector[low.bit_length() - 1]
+    return total
+
+
 def char_vector(states, n):
     """0/1 indicator of a 1-indexed state set as a length-n vector."""
     out = [0] * n
@@ -264,6 +274,72 @@ def shortest_escape(mats, basis, x, max_len):
                 nxt.add(u)
         frontier = nxt
     return None
+
+
+# ---------------------------------------------------------------------------
+# cone membership by the rational simplex that the fraction-free one replaced
+
+def reference_cone_lp_feasible(v, gens):
+    """Exact phase-one simplex over ``Fraction``: does some c >= 0 solve
+    sum_j c_j g_j = v?  Artificial variables start in the basis, Bland's
+    rule picks every pivot, and feasibility is driving their exact rational
+    sum to zero."""
+    n = len(v)
+    m = len(gens)
+    rows = []
+    rhs = []
+    for i in range(n):
+        row = [Fraction(g[i]) for g in gens]
+        b = Fraction(v[i])
+        if b < 0:
+            row = [-x for x in row]
+            b = -b
+        rows.append(row)
+        rhs.append(b)
+    # tableau columns: m generator vars, n artificials, rhs
+    for i in range(n):
+        rows[i].extend(Fraction(1) if j == i else Fraction(0) for j in range(n))
+        rows[i].append(rhs[i])
+    basis = [m + i for i in range(n)]
+    # phase-one objective row over the nonbasic generator columns only
+    obj = [Fraction(0)] * (m + n + 1)
+    for row in rows:
+        for j in range(m):
+            if row[j]:
+                obj[j] -= row[j]
+        obj[-1] -= row[-1]
+    while True:
+        enter = None
+        for j in range(m + n):
+            if obj[j] < 0:
+                enter = j
+                break
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(n):
+            coeff = rows[i][enter]
+            if coeff > 0:
+                ratio = rows[i][-1] / coeff
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            break
+        pivot = rows[leave][enter]
+        if pivot != 1:
+            rows[leave] = [x / pivot for x in rows[leave]]
+        lead = rows[leave]
+        for i in range(n):
+            if i != leave and rows[i][enter]:
+                factor = rows[i][enter]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], lead)]
+        if obj[enter]:
+            factor = obj[enter]
+            obj = [x - factor * y for x, y in zip(obj, lead)]
+        basis[leave] = enter
+    return obj[-1] == 0
 
 
 # ---------------------------------------------------------------------------

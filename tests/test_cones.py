@@ -4,6 +4,7 @@ import random
 import pytest
 
 from synchro.automaton import Automaton, mask_of, states_of
+from synchro.bounds import synthesize_reset_word
 from synchro.cones import (
     cone_sequence,
     ell,
@@ -13,6 +14,8 @@ from synchro.cones import (
     extend_mask,
     k_vector,
     shift_vector,
+    support_masks,
+    support_sum,
 )
 from synchro.errors import (
     InternalContradiction,
@@ -21,7 +24,7 @@ from synchro.errors import (
     NotSynchronizing,
 )
 from synchro.generate import cerny
-from synchro.linalg import in_cone
+from synchro.linalg import RowEchelon, in_cone, span_basis
 from synchro.permgroup import is_transitive, permutation_of_letter
 from synchro.verify import random_st_batch
 
@@ -33,6 +36,7 @@ from oracles import (
     inner_product,
     preimage,
     preimage_matrix,
+    reference_masked_sum,
     reference_trans_len_k,
     rref_basis,
     shortest_escape,
@@ -276,6 +280,28 @@ class TestConeTransientAgainstReference:
         assert counts["in_cone"] <= cone.trans_len_k + 1
 
 
+class TestSaturatedElimination:
+    def test_elimination_stops_at_rank_n_minus_1(self, monkeypatch):
+        # k-vectors sum to zero, so rank n - 1 is full: the vectors after the
+        # one that reaches it are never reduced
+        aut = orbit_instance(random.Random(8), 8, (2, 2))
+        real = RowEchelon.add
+        added = []
+
+        def counting(self, v):
+            added.append(v)
+            return real(self, v)
+
+        monkeypatch.setattr(RowEchelon, "add", counting)
+        cone = cone_sequence(aut)
+        monkeypatch.undo()
+        vectors = cone.limit_vectors
+        basis = span_basis(vectors, aut.n)
+        assert cone.span_dim == len(basis) == aut.n - 1
+        assert added == list(vectors[: vectors.index(basis[-1]) + 1])
+        assert len(added) < len(vectors) // 4
+
+
 class TestLimitSubspace:
     def test_family_limit_is_sum_zero(self, c4):
         cone = cone_sequence(c4, (0,))
@@ -401,6 +427,40 @@ class TestSubspaceEscape:
             checked += 1
             found = shortest_escape(mats, basis, x, basis.dim)
             assert found is not None and found <= basis.dim
+
+
+class TestSupportSums:
+    def test_support_masks_group_the_nonzero_entries(self):
+        assert support_masks((0, 0)) == ()
+        assert support_masks((-1, 2, 0, 2, -1)) == ((-1, 0b10001), (2, 0b01010))
+
+    def test_sums_match_the_bit_walk(self):
+        # seeded vectors with few distinct values, as k-vectors have, and
+        # with many; the empty and the full mask on every vector
+        rng = random.Random(64)
+        for trial in range(640):
+            n = trial % 64 + 1
+            spread = 2 if trial % 2 else 40
+            vec = tuple(rng.randint(-spread, spread) if rng.random() < 0.4 else 0 for _ in range(n))
+            support = support_masks(vec)
+            masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(8)]
+            for mask in masks:
+                assert support_sum(support, mask) == reference_masked_sum(vec, mask), (vec, mask)
+
+    def test_built_once_per_limit_generator(self, monkeypatch):
+        # the escape and extension tests of one synthesis read the supports
+        # cached on the cone, not supports rebuilt per test
+        counts = count_calls(monkeypatch, "cones.support_masks")
+        result = synthesize_reset_word(cerny(20))
+        assert len(result.steps) > 10
+        assert 0 < counts["support_masks"] <= len(result.cone.limit_generators)
+
+    def test_candidate_supports_lead_the_limit_supports(self):
+        for aut in (cerny(7), orbit_instance(random.Random(3), 7, (2, 2))):
+            cone = cone_sequence(aut)
+            candidates = cone.extension_candidates
+            assert candidates == cone.limit_generators[: len(candidates)]
+            assert cone.limit_supports == tuple(support_masks(v) for v in cone.limit_vectors)
 
 
 class TestExtendSubset:

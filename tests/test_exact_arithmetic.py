@@ -1,13 +1,11 @@
-"""Ranks and complements run on integer elimination; only the cone LP,
-``linalg._cone_lp_feasible``, works over rationals.  An AST scan pins that:
-``Fraction`` may be named nowhere else in the package."""
+"""Ranks and complements run on integer elimination, and the cone LP,
+``linalg._cone_lp_feasible``, is a fraction-free simplex on integer rows.
+An AST scan pins that: ``Fraction`` may be named nowhere in the package."""
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "synchro"
-
-ALLOWED = {"linalg._cone_lp_feasible"}
 
 
 def fraction_uses(source, module):
@@ -55,9 +53,8 @@ def test_scanner_finds_every_reference():
     ]
 
 
-def test_fraction_only_in_the_cone_lp():
+def test_fraction_nowhere_in_the_package():
     paths = sorted(SRC.glob("*.py"))
     assert len(paths) > 5
     found = [hit for p in paths for hit in fraction_uses(p.read_text(), p.stem)]
-    assert [hit for hit in found if hit.split(":")[0] not in ALLOWED] == []
-    assert found, "the cone LP no longer uses Fraction: update this guard"
+    assert found == []

@@ -23,6 +23,7 @@ from oracles import (
     in_polar_cone,
     in_span,
     inner_product,
+    reference_cone_lp_feasible,
     rref_basis,
     rref_complement,
     vector_times_matrix,
@@ -384,6 +385,54 @@ class TestCone:
             expected = reachable(arcs, p, q)
             assert _cone_lp_feasible(target, gens) == expected
             assert in_cone(target, gens) == expected
+
+
+class TestSimplexAgainstRationalReference:
+    """The fraction-free simplex takes the rational simplex's pivots, so the
+    two answer alike on every system; ``reference_cone_lp_feasible`` is the
+    rational one it replaced."""
+
+    def test_seeded_integer_systems(self):
+        # half the targets are planted nonnegative combinations, so both
+        # answers occur often; small n makes duplicate and zero generators
+        # and zero targets common
+        rng = random.Random(1212)
+        answers = []
+        for trial in range(2000):
+            n = trial % 8 + 1
+            m = rng.randint(1, 14)
+            gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(m)]
+            if trial % 2:
+                coeffs = [rng.randint(0, 3) for _ in gens]
+                v = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(n))
+            else:
+                v = tuple(rng.randint(-3, 3) for _ in range(n))
+            expected = reference_cone_lp_feasible(v, gens)
+            assert _cone_lp_feasible(v, gens) == expected, (v, gens)
+            answers.append((trial % 2, expected))
+        assert answers.count((1, True)) == 1000
+        assert 200 < answers.count((0, False)) < 1000
+        assert answers.count((0, True)) > 100
+
+    def test_rational_systems_through_in_cone(self):
+        rng = random.Random(1313)
+        answers = set()
+        for trial in range(300):
+            n = trial % 6 + 1
+            m = rng.randint(1, 8)
+            gens = [
+                tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n))
+                for _ in range(m)
+            ]
+            if trial % 2:
+                coeffs = [Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in gens]
+                v = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(n))
+            else:
+                v = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n))
+            expected = reference_cone_lp_feasible(v, gens)
+            assert in_cone(v, gens) == expected, (v, gens)
+            answers.add(expected)
+        assert answers == {True, False}
 
 
 def subspace_by_definition(gens):
