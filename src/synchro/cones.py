@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from operator import add, itemgetter
 from typing import Sequence
 
 from .automaton import (
@@ -35,9 +35,10 @@ from .errors import (
     NoDeficientLetters,
     NotStronglyConnected,
     NotSynchronizing,
+    ResourceCap,
 )
 from .linalg import RowEchelon, Vector, cone_is_subspace, in_cone
-from .permgroup import Perm, is_transitive, resolve_perm_set
+from .permgroup import Perm, inverse, is_transitive, resolve_perm_set
 
 
 @dataclass(frozen=True)
@@ -58,18 +59,6 @@ def k_vector(aut: Automaton, word: Word) -> KVector:
             img = aut.table[a][img]
         counts[img] += 1
     return KVector(tuple(counts), tuple(word))
-
-
-def shift_vector(vector: Vector, perm: Perm) -> Vector:
-    """Coordinate action matching word extension by a permutation letter.
-
-    Appending a letter acting as the permutation p to a word w moves each
-    fiber along p, i.e. k_{wp}(p(q)) = k_w(q).
-    """
-    out = [0] * len(vector)
-    for q, value in enumerate(vector):
-        out[perm[q]] = value
-    return tuple(out)
 
 
 Support = tuple[tuple[int, int], ...]
@@ -99,11 +88,11 @@ class ConeReport:
     """Stabilization data for the generator sequence of one automaton.
 
     ``perms`` are the permutations of the letters ``a_letters``, in that
-    order.  ``tiers[i]`` is the full generator set after i permutation shifts,
-    so the last tier is the limit set.  ``span_dim`` is the rank of the limit
-    generators; when ``is_subspace`` is true (transitive permutation group)
-    the limit cone equals their span, so its polar cone is the orthogonal
-    complement, of dimension ``n - span_dim``.
+    order.  ``limit_generators`` holds each generator once, level by level:
+    those after i permutation shifts end at ``level_ends[i]``.  ``span_dim``
+    is the rank of the limit generators; when ``is_subspace`` is true
+    (transitive permutation group) the limit cone equals their span, so its
+    polar cone is the orthogonal complement, of dimension ``n - span_dim``.
     """
 
     n: int
@@ -112,7 +101,7 @@ class ConeReport:
     deficient: tuple[int, ...]
     trans_len_t: int
     trans_len_k: int
-    tiers: tuple[frozenset[Vector], ...]
+    level_ends: tuple[int, ...]
     limit_generators: tuple[KVector, ...]
     is_subspace: bool
     span_dim: int
@@ -121,26 +110,41 @@ class ConeReport:
     def limit_vectors(self) -> tuple[Vector, ...]:
         return tuple(kv.vector for kv in self.limit_generators)
 
-    @cached_property
-    def limit_supports(self) -> tuple[Support, ...]:
-        """The :func:`support_masks` of every limit generator, in order."""
-        return tuple(support_masks(kv.vector) for kv in self.limit_generators)
+    def _prefix(self, i: int) -> tuple[KVector, ...]:
+        return self.limit_generators[: self.level_ends[min(i, len(self.level_ends) - 1)]]
+
+    def tier(self, i: int) -> frozenset[Vector]:
+        """The generator set after i permutation shifts; past the set
+        transient the last level repeats."""
+        return frozenset(kv.vector for kv in self._prefix(i))
 
     @cached_property
     def extension_candidates(self) -> tuple[KVector, ...]:
-        """Generator words usable by the extension step, shortest-then-lex order."""
-        depth = self.trans_len_k + 1
-        return tuple(kv for kv in self.limit_generators if len(kv.word) <= depth)
+        """Generator words of length at most K + 1 (the levels through K)."""
+        return self._prefix(self.trans_len_k)
+
+    @cached_property
+    def escape_supports(self) -> tuple[Support, ...]:
+        """The :func:`support_masks` that decide the polar escape, the
+        candidates' first.  A subspace limit cone is the candidates' span, so
+        they and their negations decide it; otherwise every generator does."""
+        if not self.is_subspace:
+            return tuple(support_masks(kv.vector) for kv in self.limit_generators)
+        supports = tuple(support_masks(kv.vector) for kv in self.extension_candidates)
+        return supports + tuple(tuple((-v, m) for v, m in s) for s in supports)
 
     def extension_word(self, escaped_mask: int, witness: Word) -> Word | None:
         """The first candidate word followed by ``witness`` whose vector is
         positive on the subset that ``witness`` carried out of the polar cone;
-        None when no candidate is.  The candidates lead the limit generators,
-        so their supports are a prefix of ``limit_supports``."""
-        for kv, support in zip(self.extension_candidates, self.limit_supports):
+        None when no candidate is."""
+        for kv, support in zip(self.extension_candidates, self.escape_supports):
             if support_sum(support, escaped_mask) > 0:
                 return kv.word + witness
         return None
+
+
+# The generator walk raises ResourceCap once it holds more vectors than this.
+GENERATOR_CAP = 1 << 20
 
 
 def cone_sequence(aut: Automaton, a_set: Sequence[int] | None = None) -> ConeReport:
@@ -175,6 +179,8 @@ def resolved_cone_sequence(
     if not deficient:
         raise NoDeficientLetters("every letter is a permutation")
     transitive = is_transitive(perms, aut.n)
+    # k_{wp}(p(q)) = k_w(q); a deficient letter makes n >= 2, so a tuple
+    shifts = [itemgetter(*inverse(perm)) for perm in perms]
 
     order: list[KVector] = []
     seen: set[Vector] = set()
@@ -186,18 +192,22 @@ def resolved_cone_sequence(
             seen.add(kv.vector)
             order.append(kv)
             echelon.add(kv.vector)
-    tiers = [frozenset(seen)]
+    level_ends = [len(order)]
     frontier = list(order)
     trans_k: int | None = None
     level = 0
     while True:
         new: list[KVector] = []
         for kv in frontier:
-            for a, perm in zip(a_ids, perms):
-                vec = shift_vector(kv.vector, perm)
+            for a, shift in zip(a_ids, shifts):
+                vec = shift(kv.vector)
                 if vec not in seen:
                     seen.add(vec)
                     new.append(KVector(vec, kv.word + (a,)))
+            if len(seen) > GENERATOR_CAP:
+                raise ResourceCap(
+                    f"{len(seen)} generators at level {level + 1} exceed cap {GENERATOR_CAP}"
+                )
         if not new:
             trans_len_t = level
             if trans_k is None:
@@ -217,7 +227,7 @@ def resolved_cone_sequence(
             if stable:
                 trans_k = level
         order.extend(new)
-        tiers.append(frozenset(seen))
+        level_ends.append(len(order))
         frontier = new
         level += 1
 
@@ -228,7 +238,7 @@ def resolved_cone_sequence(
         deficient=deficient,
         trans_len_t=trans_len_t,
         trans_len_k=trans_k,
-        tiers=tuple(tiers),
+        level_ends=tuple(level_ends),
         limit_generators=tuple(order),
         is_subspace=transitive,
         span_dim=echelon.rank,
@@ -263,13 +273,12 @@ def ell(
         raise NotSynchronizing("polar escape needs a synchronizing automaton")
     if not is_strongly_connected(aut):
         raise NotStronglyConnected("polar escape needs a strongly connected automaton")
-    return polar_escape(aut, cone.limit_supports, _proper_subset_mask(aut, s))
+    return polar_escape(aut, cone.escape_supports, _proper_subset_mask(aut, s))
 
 
 def polar_escape(aut: Automaton, supports: Sequence[Support], mask: int) -> tuple[int, Word]:
-    """The escape BFS behind :func:`ell` for a subset mask and the
-    :func:`support_masks` of the limit generators, without the checks on the
-    automaton.
+    """The escape BFS behind :func:`ell` for a subset mask and a cone's
+    ``escape_supports``, without the checks on the automaton.
 
     The caller guarantees that ``aut`` is synchronizing and strongly
     connected and that ``mask`` is a nonempty proper subset; otherwise the
@@ -311,7 +320,7 @@ def extend_mask(aut: Automaton, mask: int, cone: ConeReport) -> tuple[Word, int]
     subset.  A transitive permutation set already makes the automaton
     strongly connected, so the escape needs no connectivity check either.
     """
-    ell_len, w = polar_escape(aut, cone.limit_supports, mask)
+    ell_len, w = polar_escape(aut, cone.escape_supports, mask)
     word = cone.extension_word(word_preimage_mask(aut, mask, w), w)
     if word is None:
         raise InternalContradiction(

@@ -165,13 +165,12 @@ def lemma_suite(aut: Automaton) -> LemmaReport:
     )
 
     # stabilization certificate: one-step equality at the reported index,
-    # strict growth just before it; tiers past the set transient repeat the last
+    # strict growth just before it
     j = cone.trans_len_k
-    last = len(cone.tiers) - 1
-    tier_j, tier_next = cone.tiers[min(j, last)], cone.tiers[min(j + 1, last)]
+    tier_j, tier_next = cone.tier(j), cone.tier(j + 1)
     cert_ok = all(in_cone(v, list(tier_j)) for v in tier_next - tier_j)
     if cert_ok and j > 0:
-        tier_prev = cone.tiers[min(j - 1, last)]
+        tier_prev = cone.tier(j - 1)
         cert_ok = any(not in_cone(v, list(tier_prev)) for v in tier_j - tier_prev)
     report.add("k_transient_certificate", cert_ok, f"index {j}")
 
@@ -269,17 +268,17 @@ def lemma_suite(aut: Automaton) -> LemmaReport:
             report.add_na(name, why)
         return report
 
-    bridge_ok = len(cone.tiers) == len(trace.levels)
+    bridge_ok = len(cone.level_ends) == len(trace.levels)
     bridge_detail = ""
     if bridge_ok:
-        for i, (tier, level) in enumerate(zip(cone.tiers, trace.levels)):
+        for i, level in enumerate(trace.levels):
             arcs_as_vectors = {unit_difference(q, p, n) for (p, q) in level.arcs}
-            if tier != arcs_as_vectors:
+            if cone.tier(i) != arcs_as_vectors:
                 bridge_ok = False
                 bridge_detail = f"level {i}"
                 break
     else:
-        bridge_detail = f"tier count {len(cone.tiers)} vs levels {len(trace.levels)}"
+        bridge_detail = f"tier count {len(cone.level_ends)} vs levels {len(trace.levels)}"
     report.add(BRIDGE, bridge_ok, bridge_detail)
     report.add(
         LIMIT_DIM,

@@ -16,7 +16,7 @@ from synchro.automaton import (
     word_image_mask,
     word_preimage_mask,
 )
-from synchro.cones import k_vector, shift_vector
+from synchro.cones import k_vector
 from synchro.linalg import in_cone
 from synchro.permgroup import resolve_perm_set
 
@@ -344,6 +344,16 @@ def reference_cone_lp_feasible(v, gens):
 
 # ---------------------------------------------------------------------------
 # the cone transient by one membership test per new vector
+
+def shift_vector(vector, perm):
+    """Coordinate action matching word extension by a permutation letter,
+    one coordinate at a time: appending a letter acting as the permutation p
+    to a word w moves each fiber along p, i.e. k_{wp}(p(q)) = k_w(q)."""
+    out = [0] * len(vector)
+    for q, value in enumerate(vector):
+        out[perm[q]] = value
+    return tuple(out)
+
 
 def reference_trans_len_k(aut, a_set=None):
     """``(span_dim, trans_len_k, trans_len_t)`` of the generator sequence

@@ -1,9 +1,11 @@
 import json
 import pathlib
+import random
 
 import jsonschema
 import pytest
 
+from synchro import cones
 from synchro.cli import main
 from synchro.errors import (
     InternalContradiction,
@@ -13,10 +15,11 @@ from synchro.errors import (
     ParseError,
     ResourceCap,
 )
-from synchro.fileformat import parse_automaton
+from synchro.fileformat import emit_automaton, parse_automaton
 from synchro.generate import cerny, random_st
 
 from conftest import count_calls
+from test_cones import orbit_instance
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text()
@@ -99,6 +102,18 @@ class TestAnalyze:
         path.write_text("3 2\na 1 2 3\nb 2 2 2\n")
         code = main(["analyze", str(path)])
         assert code == NotTransitive.exit_code
+
+    def test_generator_cap_exit_code(self, monkeypatch, capsys, tmp_path):
+        # 420 generators in the orbit, one over the cap
+        path = tmp_path / "orbit.txt"
+        path.write_text(emit_automaton(orbit_instance(random.Random(8), 8, (2, 2))))
+        monkeypatch.setattr(cones, "GENERATOR_CAP", 419)
+        code = main(["analyze", str(path)])
+        err = capsys.readouterr().err
+        assert code == ResourceCap.exit_code
+        assert "420 generators at level" in err
+        monkeypatch.setattr(cones, "GENERATOR_CAP", 420)
+        assert main(["analyze", str(path)]) == 0
 
 
 class TestSynthesize:

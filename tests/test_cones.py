@@ -1,11 +1,14 @@
 import itertools
 import random
+from operator import itemgetter
 
 import pytest
 
-from synchro.automaton import Automaton, mask_of, states_of
+from synchro import cones
+from synchro.automaton import Automaton, is_synchronizing, mask_of, states_of
 from synchro.bounds import synthesize_reset_word
 from synchro.cones import (
+    _escapes_polar,
     cone_sequence,
     ell,
     ell_all,
@@ -13,7 +16,7 @@ from synchro.cones import (
     escaped_masks,
     extend_mask,
     k_vector,
-    shift_vector,
+    polar_escape,
     support_masks,
     support_sum,
 )
@@ -22,10 +25,11 @@ from synchro.errors import (
     NoDeficientLetters,
     NotStronglyConnected,
     NotSynchronizing,
+    ResourceCap,
 )
-from synchro.generate import cerny
+from synchro.generate import cerny, random_st
 from synchro.linalg import RowEchelon, in_cone, span_basis
-from synchro.permgroup import is_transitive, permutation_of_letter
+from synchro.permgroup import inverse, is_transitive, permutation_of_letter
 from synchro.verify import random_st_batch
 
 from conftest import count_calls, random_automaton
@@ -39,6 +43,7 @@ from oracles import (
     reference_masked_sum,
     reference_trans_len_k,
     rref_basis,
+    shift_vector,
     shortest_escape,
     vector_times_matrix,
 )
@@ -136,6 +141,28 @@ class TestShiftIdentity:
                     direct = k_vector(aut, word + (0,)).vector
                     assert direct == shift_vector(k_vector(aut, word).vector, perm)
 
+    def test_gather_matches_the_coordinate_loop(self):
+        # the walk shifts by gathering through the inverse permutation; an
+        # n-cycle and one merged pair keep the orbit at n vectors up to n = 64
+        rng = random.Random(64)
+        for n in range(2, 65):
+            perm = tuple(rng.sample(range(n), n))
+            vec = tuple(rng.randint(-3, 3) for _ in range(n))
+            assert itemgetter(*inverse(perm))(vec) == shift_vector(vec, perm)
+            states = rng.sample(range(n), n)
+            cycle = [0] * n
+            for q, p in zip(states, states[1:] + states[:1]):
+                cycle[q] = p
+            merge = list(range(n))
+            merge[states[0]] = states[rng.randrange(1, n)]
+            aut = Automaton(("a", "b"), (tuple(cycle), tuple(merge)))
+            cone = cone_sequence(aut, (0,))
+            by_word = {kv.word: kv.vector for kv in cone.limit_generators}
+            assert len(by_word) == n
+            for word, vector in by_word.items():
+                if len(word) > 1:
+                    assert vector == shift_vector(by_word[word[:-1]], tuple(cycle))
+
     def test_matrix_route_uses_the_inverse_permutation(self, c4):
         # right-multiplying by [u] with u acting as a^-1 equals appending a
         k_b = k_vector(c4, (1,)).vector
@@ -154,14 +181,15 @@ class TestConeSequence:
 
     def test_tiers_grow_monotonically(self, c4):
         cone = cone_sequence(c4, (0,))
-        for early, late in zip(cone.tiers, cone.tiers[1:]):
+        tiers = [cone.tier(i) for i in range(len(cone.level_ends))]
+        for early, late in zip(tiers, tiers[1:]):
             assert early < late
 
     def test_stabilization_certificate(self, c4):
         cone = cone_sequence(c4, (0,))
         j = cone.trans_len_k
-        prev = list(cone.tiers[j - 1])
-        assert any(not in_cone(v, prev) for v in cone.tiers[j] - cone.tiers[j - 1])
+        prev = list(cone.tier(j - 1))
+        assert any(not in_cone(v, prev) for v in cone.tier(j) - cone.tier(j - 1))
 
     def test_no_deficient_letters(self):
         aut = Automaton(("a",), ((1, 0),))
@@ -186,7 +214,8 @@ class TestConeSequence:
             if 0 in set(aut.letter_defects[1:2]):
                 continue
             cone = cone_sequence(aut, (0,))
-            for i, tier in enumerate(cone.tiers):
+            for i in range(len(cone.level_ends)):
+                tier = cone.tier(i)
                 expected = set()
                 for suffix_len in range(i + 1):
                     for suffix in itertools.product([0], repeat=suffix_len):
@@ -278,6 +307,17 @@ class TestConeTransientAgainstReference:
         cone = cone_sequence(aut)
         assert cone.is_subspace and len(cone.limit_generators) == 420
         assert counts["in_cone"] <= cone.trans_len_k + 1
+
+
+class TestGeneratorCap:
+    # n = 8, one letter merging two pairs: 420 limit vectors under the group
+    def test_cap_boundary(self, monkeypatch):
+        aut = orbit_instance(random.Random(8), 8, (2, 2))
+        monkeypatch.setattr(cones, "GENERATOR_CAP", 419)
+        with pytest.raises(ResourceCap, match="420 generators at level"):
+            cone_sequence(aut)
+        monkeypatch.setattr(cones, "GENERATOR_CAP", 420)
+        assert len(cone_sequence(aut).limit_generators) == 420
 
 
 class TestSaturatedElimination:
@@ -449,18 +489,73 @@ class TestSupportSums:
 
     def test_built_once_per_limit_generator(self, monkeypatch):
         # the escape and extension tests of one synthesis read the supports
-        # cached on the cone, not supports rebuilt per test
+        # cached on the cone, built once per extension candidate
         counts = count_calls(monkeypatch, "cones.support_masks")
         result = synthesize_reset_word(cerny(20))
         assert len(result.steps) > 10
-        assert 0 < counts["support_masks"] <= len(result.cone.limit_generators)
+        assert 0 < counts["support_masks"] <= len(result.cone.extension_candidates)
 
-    def test_candidate_supports_lead_the_limit_supports(self):
+    def test_candidates_are_the_levels_through_k(self):
         for aut in (cerny(7), orbit_instance(random.Random(3), 7, (2, 2))):
             cone = cone_sequence(aut)
+            k = cone.trans_len_k
             candidates = cone.extension_candidates
-            assert candidates == cone.limit_generators[: len(candidates)]
-            assert cone.limit_supports == tuple(support_masks(v) for v in cone.limit_vectors)
+            assert candidates == cone.limit_generators[: cone.level_ends[k]]
+            assert candidates == tuple(kv for kv in cone.limit_generators if len(kv.word) <= k + 1)
+
+
+class TestEscapeSupports:
+    """A transitive cone decides the escape on its extension candidates and
+    their negations; ``_escapes_polar`` over the supports of every limit
+    vector is the reference, and ``polar_escape`` must find the same word."""
+
+    @staticmethod
+    def check(aut, rng, trials=30):
+        cone = cone_sequence(aut)
+        every = [support_masks(v) for v in cone.limit_vectors]
+        candidates = [support_masks(kv.vector) for kv in cone.extension_candidates]
+        assert list(cone.escape_supports[: len(candidates)]) == candidates
+        escapes = is_synchronizing(aut)
+        for _ in range(trials):
+            mask = rng.randrange(1, (1 << aut.n) - 1)
+            got = _escapes_polar(cone.escape_supports, mask)
+            assert got == _escapes_polar(every, mask), (aut.table, mask)
+            if escapes:
+                expected = polar_escape(aut, every, mask)
+                assert polar_escape(aut, cone.escape_supports, mask) == expected
+        return cone
+
+    def test_orbit_instances(self):
+        rng = random.Random(13)
+        shorter = 0
+        for n in range(6, 11):
+            for fibers in ((2, 2), (3,), (3, 2)):
+                cone = self.check(orbit_instance(rng, n, fibers), rng)
+                assert cone.is_subspace
+                shorter += len(cone.escape_supports) < len(cone.limit_generators)
+        assert shorter > 0
+
+    def test_random_st_batch(self):
+        rng = random.Random(14)
+        low_rank = 0
+        for _, aut in random_st_batch(40, range(5, 11), 15):
+            cone = self.check(aut, rng)
+            low_rank += cone.span_dim < aut.n - 1
+        assert low_rank > 0
+
+    def test_cones_below_full_rank(self):
+        # the golden escape-* seeds: limit dimension below n - 1, so some
+        # subsets must walk before they escape
+        rng = random.Random(16)
+        for n, perm_letters, defect1_letters, seed in (
+            (6, 1, 2, 1014768378),
+            (6, 1, 2, 783178257),
+            (8, 2, 1, 662762343),
+            (10, 1, 1, 786923726),
+        ):
+            aut = random_st(n, perm_letters, defect1_letters, seed)
+            cone = self.check(aut, rng, trials=60)
+            assert cone.is_subspace and cone.span_dim < n - 1
 
 
 class TestExtendSubset:
