@@ -53,11 +53,10 @@ from .growth import (
     translen_k_bound,
     verify_growth_lemmas,
 )
-from .linalg import RowEchelon, cone_is_subspace, in_cone, orthogonal_complement, span_basis
+from .linalg import Cone, RowEchelon, in_cone, orthogonal_complement, span_basis
 from .permgroup import (
     CayleyDiameters,
     cayley_diameters,
-    group_closure,
     is_transitive,
     permutation_of_letter,
 )

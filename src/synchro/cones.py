@@ -37,7 +37,7 @@ from .errors import (
     NotSynchronizing,
     ResourceCap,
 )
-from .linalg import RowEchelon, Vector, cone_is_subspace, in_cone
+from .linalg import Cone, RowEchelon, Vector
 from .permgroup import Perm, inverse, is_transitive, resolve_perm_set
 
 
@@ -169,11 +169,12 @@ def resolved_cone_sequence(
     ``span_dim``, until that rank reaches n - 1: every k-vector sums to zero,
     so no later vector can raise it, and they skip the elimination.  A level
     where some new vector raises the rank is not K, and no LP runs.
-    Otherwise, for a transitive permutation set the limit cone is a
-    subspace, so the level is K exactly when the current cone is one: a
-    reachability test for unit-difference generators, else one exact LP
-    (``cone_is_subspace``).  Only a non-transitive set still tests each new
-    vector for cone membership with its own LP.
+    Otherwise the level's generators build one ``Cone``.  For a transitive
+    permutation set the limit cone is a subspace, so the level is K exactly
+    when the current cone is one (``Cone.is_subspace``): a reachability test
+    for unit-difference generators, else one exact LP.  Only a
+    non-transitive set still tests each new vector for membership in that
+    cone, with its own LP.
     """
     deficient = deficient_letters(aut)
     if not deficient:
@@ -219,11 +220,11 @@ def resolved_cone_sequence(
                 break
             echelon.add(kv.vector)
         if trans_k is None and echelon.rank == rank:
-            current = [kv.vector for kv in order]
+            current = Cone((kv.vector for kv in order), aut.n)
             if transitive:
-                stable = cone_is_subspace(current, aut.n)
+                stable = current.is_subspace()
             else:
-                stable = all(in_cone(kv.vector, current) for kv in new)
+                stable = all(kv.vector in current for kv in new)
             if stable:
                 trans_k = level
         order.extend(new)

@@ -1,5 +1,6 @@
 """Exact linear algebra on integer vectors: ranks, spans, orthogonal
-complements, cone membership and the test whether a cone is a subspace.
+complements, and cones (``Cone``: membership and the test whether the cone
+is a subspace).
 
 Ranks and complements come from one Gauss-Jordan elimination on integer rows
 (``RowEchelon``, fed one row at a time, so a caller can keep a running rank)
@@ -8,7 +9,9 @@ rounds and no rational arithmetic is needed.  Cone membership runs a
 fraction-free simplex on the same kind of rows: each pivot cross-multiplies
 and divides by the gcd, and rational inputs are scaled to integers first, so
 it takes the pivots of the rational simplex without building a fraction.
-Vectors are plain tuples.
+A ``Cone`` whose generators are all unit differences is an arc digraph's,
+and answers both questions by reachability instead.  Vectors are plain
+tuples.
 """
 
 from __future__ import annotations
@@ -138,25 +141,6 @@ def _arcs_of(gens: Sequence[Sequence]) -> list[tuple[int, int]] | None:
     return arcs
 
 
-def _successors(arcs: Sequence[tuple[int, int]], n: int) -> list[int]:
-    """Successor masks of the arc digraph on n vertices, for ``reach``."""
-    succ = [0] * n
-    for tail, head in arcs:
-        succ[tail] |= 1 << head
-    return succ
-
-
-def _reachability_membership(target: tuple[int, int], arcs: list[tuple[int, int]], n: int) -> bool:
-    """Flow decomposition for unit-difference cones in Q^n.
-
-    A nonnegative combination of vectors (+1 at head, -1 at tail) with total
-    divergence +1 at ``s`` and -1 at ``t`` exists iff the arc set contains a
-    directed path from t to s.
-    """
-    s, t = target
-    return bool(reach(_successors(arcs, n), 1 << t) >> s & 1)
-
-
 def _cone_lp_feasible(v: Sequence, gens: list[Sequence]) -> bool:
     """Exact phase-one simplex: does some c >= 0 solve sum_j c_j g_j = v?
 
@@ -225,50 +209,68 @@ def _cone_lp_feasible(v: Sequence, gens: list[Sequence]) -> bool:
     return obj[-1] == 0
 
 
+class Cone:
+    """The cone of nonnegative combinations of ``gens`` in Q^n.
+
+    The generators are deduplicated, zero vectors dropped and lengths checked
+    once.  When every generator is a unit difference (+1 at the head, -1 at
+    the tail), the cone is the arc digraph's: it keeps the successor masks
+    and caches the ``reach`` closure of each vertex it is asked about.
+    """
+
+    def __init__(self, gens: Iterable[Sequence], n: int):
+        self.n = n
+        self.gens = [g for g in dict.fromkeys(tuple(g) for g in gens) if any(g)]
+        for g in self.gens:
+            if len(g) != n:
+                raise ValueError(f"vector of length {len(g)} in ambient dimension {n}")
+        self.arcs = _arcs_of(self.gens)
+        if self.arcs is not None:
+            self._succ = [0] * n
+            for tail, head in self.arcs:
+                self._succ[tail] |= 1 << head
+            self._closure: dict[int, int] = {}
+
+    def _reach(self, vertex: int) -> int:
+        """Mask of the vertices reachable from ``vertex`` along the arcs."""
+        closure = self._closure.get(vertex)
+        if closure is None:
+            closure = self._closure[vertex] = reach(self._succ, 1 << vertex)
+        return closure
+
+    def __contains__(self, v: Sequence) -> bool:
+        """Exact membership; entries may be ints or exact rationals.
+
+        A unit-difference target in an arc cone is decided by flow
+        decomposition: a nonnegative combination of arcs with divergence +1
+        at s and -1 at t exists iff some directed path runs from t to s.
+        Anything else goes to the exact simplex.
+        """
+        if len(v) != self.n:
+            raise ValueError(f"vector of length {len(v)} in ambient dimension {self.n}")
+        if not any(v):
+            return True
+        if not self.gens:
+            return False
+        if self.arcs is not None:
+            target = _as_unit_difference(v)
+            if target is not None:
+                s, t = target
+                return bool(self._reach(t) >> s & 1)
+        return _cone_lp_feasible(v, self.gens)
+
+    def is_subspace(self) -> bool:
+        """Does the cone hold ``-g`` for every generator g?
+
+        That holds exactly when some strictly positive combination of the
+        generators is zero, i.e. when ``-sum(gens)`` lies in the cone.  For
+        an arc cone it says that every arc lies on a cycle.
+        """
+        if self.arcs is not None:
+            return all(self._reach(head) >> tail & 1 for tail, head in self.arcs)
+        return tuple(-sum(column) for column in zip(*self.gens)) in self
+
+
 def in_cone(v: Sequence, gens: Iterable[Sequence]) -> bool:
-    """Exact membership of ``v`` in the cone of nonnegative combinations.
-
-    Entries may be ints or exact rationals.  When the target and every
-    generator are unit-difference vectors the flow-decomposition shortcut
-    decides it; otherwise the exact simplex does.
-    """
-    gen_list = [tuple(g) for g in gens]
-    for g in gen_list:
-        if len(g) != len(v):
-            raise ValueError("generator length mismatch")
-    if not any(v):
-        return True
-    gen_list = [g for g in dict.fromkeys(gen_list) if any(g)]
-    if not gen_list:
-        return False
-    target = _as_unit_difference(v)
-    arcs = _arcs_of(gen_list) if target is not None else None
-    if arcs is not None:
-        return _reachability_membership(target, arcs, len(v))
-    return _cone_lp_feasible(v, gen_list)
-
-
-def cone_is_subspace(gens: Iterable[Sequence[int]], n: int) -> bool:
-    """Is the cone of nonnegative combinations of ``gens`` (in Q^n) a linear
-    subspace, i.e. does it hold ``-g`` for every generator g?
-
-    That holds exactly when some strictly positive combination of the
-    generators is zero, i.e. when ``-sum(gens)`` lies in the cone: one exact
-    LP.  For unit-difference generators it is the arc digraph's property
-    that every arc lies on a cycle, which ``reach`` decides without an LP.
-    """
-    gen_list = [g for g in dict.fromkeys(tuple(g) for g in gens) if any(g)]
-    for g in gen_list:
-        if len(g) != n:
-            raise ValueError(f"vector of length {len(g)} in ambient dimension {n}")
-    arcs = _arcs_of(gen_list)
-    if arcs is not None:
-        succ = _successors(arcs, n)
-        closure: dict[int, int] = {}
-        for tail, head in arcs:
-            if head not in closure:
-                closure[head] = reach(succ, 1 << head)
-            if not closure[head] >> tail & 1:
-                return False
-        return True
-    return in_cone(tuple(-sum(column) for column in zip(*gen_list)), gen_list)
+    """Exact membership of ``v`` in the cone of ``gens``."""
+    return v in Cone(gens, len(v))

@@ -1,5 +1,5 @@
-"""Permutation letters, orbit and transitivity tests, group closure, and the
-Cayley-digraph diameter of the generated group."""
+"""Permutation letters, orbit and transitivity tests, and the Cayley-digraph
+diameter of the generated group."""
 
 from __future__ import annotations
 
@@ -87,29 +87,6 @@ def is_transitive(perms: Sequence[Perm], n: int) -> bool:
     if not perms:
         return False
     return len(orbit(perms, n)) == n
-
-
-def group_closure(perms: Iterable[Perm], n: int, cap: int = DEFAULT_GROUP_CAP) -> frozenset[Perm]:
-    """The full group generated by ``perms``, if its order is at most ``cap``."""
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    gens = tuple(set(perms))
-    elems = {identity(n)}
-    frontier = [identity(n)]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                gh = compose(g, h)
-                if gh not in elems:
-                    elems.add(gh)
-                    if len(elems) > cap:
-                        raise CapExceeded(
-                            f"group order exceeds cap {cap}", partial_count=len(elems)
-                        )
-                    nxt.append(gh)
-        frontier = nxt
-    return frozenset(elems)
 
 
 @dataclass(frozen=True)

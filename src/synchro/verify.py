@@ -41,7 +41,7 @@ from .growth import (
     translen_k_bound,
     verify_growth_lemmas,
 )
-from .linalg import in_cone, unit_difference
+from .linalg import Cone, unit_difference
 
 
 # The lemma audit enumerates every subset while 2^n is at most this, and
@@ -125,14 +125,19 @@ def lemma_suite(aut: Automaton) -> LemmaReport:
         for length in range(4)
         for word in itertools.product(range(k_letters), repeat=length)
     ]
+    # preimages[w][mask] is the preimage of mask under w, one lookup from
+    # that of w's suffix; words come shortest first, so the suffix is there
+    # (the longest words are suffixes of nothing and are not kept)
+    preimages = {(): range(size)}
     for word in words:
         vec = k_vector(aut, word).vector
         if exhaustive:
             sums = subset_table(vec, add)
-            arr = list(range(size))
-            for a in reversed(word):
-                tab = pre_tabs[a]
-                arr = [tab[x] for x in arr]
+            arr = preimages.get(word)
+            if arr is None:
+                arr = list(map(pre_tabs[word[0]].__getitem__, preimages[word[1:]]))
+                if len(word) < 3:
+                    preimages[word] = arr
             for mask in masks:
                 if pc[arr[mask]] - pc[mask] != sums[mask]:
                     identity_ok = False
@@ -168,16 +173,19 @@ def lemma_suite(aut: Automaton) -> LemmaReport:
     # strict growth just before it
     j = cone.trans_len_k
     tier_j, tier_next = cone.tier(j), cone.tier(j + 1)
-    cert_ok = all(in_cone(v, list(tier_j)) for v in tier_next - tier_j)
+    cone_j = Cone(tier_j, n)
+    cert_ok = all(v in cone_j for v in tier_next - tier_j)
     if cert_ok and j > 0:
         tier_prev = cone.tier(j - 1)
-        cert_ok = any(not in_cone(v, list(tier_prev)) for v in tier_j - tier_prev)
+        cone_prev = Cone(tier_prev, n)
+        cert_ok = any(v not in cone_prev for v in tier_j - tier_prev)
     report.add("k_transient_certificate", cert_ok, f"index {j}")
 
     if transitive:
+        limit_cone = Cone(vectors, n)
         report.add(
             "negation_closure_of_limit_cone",
-            all(in_cone(tuple(-x for x in v), vectors) for v in vectors),
+            all(tuple(-x for x in v) in limit_cone for v in vectors),
             "",
         )
     else:

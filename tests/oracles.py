@@ -17,8 +17,9 @@ from synchro.automaton import (
     word_preimage_mask,
 )
 from synchro.cones import k_vector
-from synchro.linalg import in_cone
-from synchro.permgroup import resolve_perm_set
+from synchro.errors import CapExceeded
+from synchro.linalg import in_cone, unit_difference
+from synchro.permgroup import DEFAULT_GROUP_CAP, compose, identity, resolve_perm_set
 
 
 def apply_word(aut, states, word):
@@ -384,3 +385,51 @@ def reference_trans_len_k(aut, a_set=None):
         frontier = new
         level += 1
     return rref_basis(order, aut.n).dim, level if trans_k is None else trans_k, level
+
+
+# ---------------------------------------------------------------------------
+# the group order by brute force
+
+def group_closure(perms, n, cap=DEFAULT_GROUP_CAP):
+    """The full group generated by ``perms``, if its order is at most ``cap``."""
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    gens = tuple(set(perms))
+    elems = {identity(n)}
+    frontier = [identity(n)]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in gens:
+                gh = compose(g, h)
+                if gh not in elems:
+                    elems.add(gh)
+                    if len(elems) > cap:
+                        raise CapExceeded(
+                            f"group order exceeds cap {cap}", partial_count=len(elems)
+                        )
+                    nxt.append(gh)
+        frontier = nxt
+    return frozenset(elems)
+
+
+# ---------------------------------------------------------------------------
+# the incidence-rank check by subspace comparison
+
+def reference_rank_detail(trace):
+    """The detail of ``incidence_rank_matches_weak_components`` ("" on a
+    pass) as the check once decided it, level by level: the rank of the arc
+    vectors against n - #weak components, then the orthogonal complement of
+    the arc span against the span of the component indicators, both as
+    rational subspaces."""
+    n = trace.n
+    for i, (level, deco) in enumerate(zip(trace.levels, trace.decompositions)):
+        span = rref_basis([unit_difference(p, q, n) for p, q in level.arcs], n)
+        expected = n - len(deco.wccs)
+        if span.dim != expected:
+            return f"level {i}: rank {span.dim} != {expected}"
+        comp = rref_complement(span)
+        chars = [char_vector(w, n) for w in deco.wccs]
+        if not rref_basis(chars, n).dim == comp.dim == rref_basis(comp.rows + tuple(chars), n).dim:
+            return f"level {i}: complement differs from component span"
+    return ""

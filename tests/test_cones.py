@@ -303,10 +303,10 @@ class TestConeTransientAgainstReference:
     def test_at_most_one_lp_per_level(self, monkeypatch):
         # n = 8, one letter merging two pairs: 420 limit vectors under the group
         aut = orbit_instance(random.Random(8), 8, (2, 2))
-        counts = count_calls(monkeypatch, "linalg.in_cone")
+        counts = count_calls(monkeypatch, "linalg._cone_lp_feasible")
         cone = cone_sequence(aut)
         assert cone.is_subspace and len(cone.limit_generators) == 420
-        assert counts["in_cone"] <= cone.trans_len_k + 1
+        assert 0 < counts["_cone_lp_feasible"] <= cone.trans_len_k + 1
 
 
 class TestGeneratorCap:

@@ -24,6 +24,8 @@ from synchro.growth import (
 )
 from synchro.permgroup import is_transitive, resolve_perm_set
 
+from oracles import reference_rank_detail
+
 
 def growth_lemmas(aut, a_set=None):
     """``verify_growth_lemmas`` on the growth trace of ``aut`` under the
@@ -248,6 +250,61 @@ class TestGrowthLemmas:
             n = rng.randrange(4, 9)
             aut = random_st(n, rng.choice((1, 2)), 1, rng.randrange(1 << 20))
             assert growth_lemmas(aut).ok
+
+
+def tampered_components(rng, wccs):
+    """Partitions near ``wccs``: two states swapped between components, two
+    components merged and one split, each where the partition allows it."""
+    comps = [sorted(w) for w in wccs]
+    out = []
+    if len(comps) >= 2:
+        i, j = rng.sample(range(len(comps)), 2)
+        a, b = rng.choice(comps[i]), rng.choice(comps[j])
+        swap = [list(w) for w in comps]
+        swap[i][swap[i].index(a)] = b
+        swap[j][swap[j].index(b)] = a
+        out.append(swap)
+        out.append([w for k, w in enumerate(comps) if k not in (i, j)] + [comps[i] + comps[j]])
+    big = [w for w in comps if len(w) >= 2]
+    if big:
+        w = rng.choice(big)
+        cut = rng.randrange(1, len(w))
+        out.append([v for v in comps if v is not w] + [w[:cut], w[cut:]])
+    return [tuple(frozenset(w) for w in tampered) for tampered in out]
+
+
+class TestRankCheckAgainstReference:
+    """The running elimination and the component-crossing test against the
+    span-and-complement comparison they replaced (``reference_rank_detail``),
+    on seeded growth traces and on decompositions tampered at one level."""
+
+    def test_seeded_traces_and_tampered_decompositions(self):
+        rng = random.Random(61)
+        outcomes = set()
+        for n in range(4, 10):
+            for _ in range(4):
+                aut = random_st(n, 2, rng.choice((1, 2)), rng.randrange(1 << 20))
+                perms = resolve_perm_set(aut)[1]
+                for perm_set in (perms, perms[:1]):
+                    trace = gamma_growth(aut, perm_set)
+                    traces = [trace]
+                    i = rng.randrange(len(trace.levels))
+                    deco = trace.decompositions[i]
+                    for wccs in tampered_components(rng, deco.wccs):
+                        decos = list(trace.decompositions)
+                        decos[i] = dataclasses.replace(deco, wccs=wccs)
+                        traces.append(dataclasses.replace(trace, decompositions=tuple(decos)))
+                    for t in traces:
+                        check = verify_growth_lemmas(t, False).by_name(
+                            "incidence_rank_matches_weak_components"
+                        )
+                        expected = reference_rank_detail(t)
+                        assert (check.status, check.detail) == (
+                            "fail" if expected else "pass",
+                            expected,
+                        )
+                        outcomes.add(expected.split(": ")[-1].split(" ")[0])
+        assert outcomes == {"", "rank", "complement"}
 
 
 class TestTransientBound:

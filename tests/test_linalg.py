@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synchro.linalg import (
+    Cone,
     RowEchelon,
     _cone_lp_feasible,
-    cone_is_subspace,
     in_cone,
     orthogonal_complement,
     span_basis,
@@ -442,14 +442,14 @@ def subspace_by_definition(gens):
 
 class TestConeIsSubspace:
     def test_small_cases(self):
-        assert cone_is_subspace([], 3)
-        assert cone_is_subspace([(0, 0)], 2)
-        assert not cone_is_subspace([(1, -1)], 2)
-        assert cone_is_subspace([(1, -1), (-1, 1)], 2)
-        assert cone_is_subspace([(2, -1, -1), (-1, 2, -1), (-1, -1, 2)], 3)
-        assert not cone_is_subspace([(2, -1, -1), (-1, 2, -1)], 3)
+        assert Cone([], 3).is_subspace()
+        assert Cone([(0, 0)], 2).is_subspace()
+        assert not Cone([(1, -1)], 2).is_subspace()
+        assert Cone([(1, -1), (-1, 1)], 2).is_subspace()
+        assert Cone([(2, -1, -1), (-1, 2, -1), (-1, -1, 2)], 3).is_subspace()
+        assert not Cone([(2, -1, -1), (-1, 2, -1)], 3).is_subspace()
         with pytest.raises(ValueError):
-            cone_is_subspace([(1, -1)], 3)
+            Cone([(1, -1)], 3).is_subspace()
 
     def test_random_integer_sets(self):
         # zero vectors, duplicates, +-v pairs and sets summing to zero are
@@ -470,7 +470,7 @@ class TestConeIsSubspace:
                 gens.append(tuple(-sum(column) for column in zip(*gens)))
             rng.shuffle(gens)
             expected = subspace_by_definition(gens)
-            assert cone_is_subspace(gens, n) == expected, gens
+            assert Cone(gens, n).is_subspace() == expected, gens
             seen.add((kind, expected))
         assert {kind for kind, _ in seen} == {"plain", "zero", "duplicate", "negated", "sum zero"}
         assert {expected for _, expected in seen} == {True, False}
@@ -485,8 +485,8 @@ class TestConeIsSubspace:
             arcs = [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randrange(1, 2 * n))]
             gens = [unit_difference(head, tail, n) for tail, head in arcs]
             expected = subspace_by_definition(gens)
-            assert cone_is_subspace(gens, n) == expected, arcs
-            assert cone_is_subspace([tuple(2 * x for x in g) for g in gens], n) == expected, arcs
+            assert Cone(gens, n).is_subspace() == expected, arcs
+            assert Cone([tuple(2 * x for x in g) for g in gens], n).is_subspace() == expected, arcs
             seen.add(expected)
         assert seen == {True, False}
 

@@ -15,7 +15,6 @@ OPTIONS = {
     "bounds.synthesize_reset_word(a_set)",  # the CLI's --perm-set and the suites' default
     "cli.main(argv)",  # sys.argv or a caller's list
     "cones.cone_sequence(a_set)",  # the CLI's --perm-set and the suites' default
-    "permgroup.group_closure(cap)",  # the brute-force group-order test oracle
     "permgroup.resolve_perm_set(letters)",  # every defect-0 letter or --perm-set
     "verify.suite_lemmas(exhaustive_n_max)",  # a param of the golden verify-lemmas report
 }

@@ -8,7 +8,6 @@ from synchro.permgroup import (
     DEFAULT_GROUP_CAP,
     cayley_diameters,
     compose,
-    group_closure,
     identity,
     inverse,
     is_transitive,
@@ -16,6 +15,8 @@ from synchro.permgroup import (
     permutation_of_letter,
     resolve_perm_set,
 )
+
+from oracles import group_closure
 
 FOUR_CYCLE = (1, 2, 3, 0)
 SWAP01 = (1, 0, 2)

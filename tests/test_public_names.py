@@ -6,12 +6,18 @@ uses.  Re-exports in ``__init__`` do not count as reads."""
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "synchro"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "synchro"
 
 # public names kept with no reader in the library, each with its reason
+TRACED_BY_PERFBENCH = (
+    "perfbench/spans.py traces it; tests/test_perfbench_contract.py requires it"
+)
 ALLOWED = {
-    "cones.ell": "perfbench/spans.py traces it; tests/test_perfbench_contract.py requires it",
-    "permgroup.group_closure": "the brute-force group-order oracle for an order computation",
+    "cones.ell": TRACED_BY_PERFBENCH,
+    "linalg.in_cone": TRACED_BY_PERFBENCH,
+    "linalg.orthogonal_complement": TRACED_BY_PERFBENCH,
+    "linalg.span_basis": TRACED_BY_PERFBENCH,
 }
 
 
@@ -67,3 +73,18 @@ def test_every_public_name_has_a_reader():
     found = unread(sources)
     assert sorted(found - set(ALLOWED)) == [], "move test-only names to tests/oracles.py"
     assert sorted(set(ALLOWED) - found) == [], "a reader exists now: drop it from ALLOWED"
+
+
+def traced_names():
+    """The ``TRACED`` tuple of ``perfbench/spans.py``, read without importing it."""
+    for node in ast.parse((ROOT / "perfbench" / "spans.py").read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]:
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("perfbench/spans.py defines no TRACED")
+
+
+def test_names_kept_for_perfbench_are_traced():
+    # once the benchmark stops tracing a name, it needs a library reader or
+    # it leaves the library
+    kept = {name for name, why in ALLOWED.items() if "perfbench" in why}
+    assert sorted(kept - traced_names()) == [], "perfbench no longer traces it"

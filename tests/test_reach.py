@@ -10,7 +10,7 @@ from collections import deque
 
 from synchro.automaton import Automaton, is_strongly_connected, reach
 from synchro.growth import digraph, gamma_growth, scc_wcc
-from synchro.linalg import _reachability_membership
+from synchro.linalg import Cone, unit_difference
 from synchro.permgroup import inverse, orbit, resolve_perm_set
 from synchro.verify import random_st_batch
 
@@ -156,7 +156,10 @@ def test_orbit_matches_reference():
 
 
 def test_reachability_membership_matches_reference():
+    # every target asks the same cone, so each answer also reads closures
+    # that the cone cached for earlier targets
     rng = random.Random(74)
+    answers = set()
     for _ in range(400):
         n = rng.randrange(2, 9)
         arcs = [
@@ -164,10 +167,13 @@ def test_reachability_membership_matches_reference():
             for a, b in ((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(0, 2 * n)))
             if a != b
         ]
-        target = tuple(rng.sample(range(n), 2))
-        assert _reachability_membership(target, arcs, n) == reference_reachability_membership(
-            target, arcs
-        )
+        cone = Cone([unit_difference(head + 1, tail + 1, n) for tail, head in arcs], n)
+        for _ in range(n):
+            s, t = target = tuple(rng.sample(range(n), 2))
+            expected = reference_reachability_membership(target, arcs)
+            assert (unit_difference(s + 1, t + 1, n) in cone) == expected, (arcs, target)
+            answers.add(expected)
+    assert answers == {True, False}
 
 
 def test_scc_wcc_matches_reference():

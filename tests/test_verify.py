@@ -259,6 +259,14 @@ class TestLemmaSuite:
         assert lemma_suite(cerny(6)).ok
         assert counts == {"resolve_perm_set": 1, "is_transitive": 1}
 
+    def test_arcs_recognised_once_per_cone(self, monkeypatch):
+        # the cone transient's one subspace test and the audit's cones for
+        # the certificate and the negation closure each recognise their
+        # generators as arcs once, whatever they are asked
+        counts = count_calls(monkeypatch, "linalg._arcs_of")
+        assert lemma_suite(random_st(9, 2, 1, seed=3)).ok
+        assert 0 < counts["_arcs_of"] <= 4
+
     def test_arc_shift_closure_names_the_first_escaping_arc(self, monkeypatch):
         # with levels 1 and 3 cut back to the seed arc (1, 2), arcs of both
         # levels 0 and 2 shift out of the next level
