@@ -10,7 +10,6 @@ into a reset word of length at most ``1 + (n-2) * (n - dim + transient)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .automaton import (
     Automaton,
@@ -27,7 +26,7 @@ from .errors import (
     NotTransitive,
     UnsupportedAlphabet,
 )
-from .permgroup import cayley_diameters
+from .permgroup import Perm, cayley_diameters
 
 
 @dataclass(frozen=True)
@@ -83,20 +82,23 @@ def bound_defect1(aut: Automaton) -> int:
     return 2 * n * n - 7 * n + 7
 
 
-def synthesize_reset_word(aut: Automaton, a_set: Sequence[int] | None = None) -> SynthesisResult:
+def synthesize_reset_word(
+    aut: Automaton, a_ids: tuple[int, ...], perms: tuple[Perm, ...]
+) -> SynthesisResult:
     """Construct and verify a reset word via the extension chain.
 
-    Requires a synchronizing automaton whose chosen permutation letters act
-    transitively.  The result's word is re-verified by the forward action
-    before it is returned; a failed extension or verification raises
-    InternalContradiction since the underlying facts guarantee success.
+    Requires a synchronizing automaton whose permutation letters ``a_ids``,
+    with permutations ``perms``, act transitively.  The result's word is
+    re-verified by the forward action before it is returned; a failed
+    extension or verification raises InternalContradiction since the
+    underlying facts guarantee success.
     """
     n = aut.n
     if n < 2:
         raise ValueError("synthesis needs at least 2 states")
     if not is_synchronizing(aut):
         raise NotSynchronizing("automaton admits no reset word")
-    cone = cone_sequence(aut, a_set)
+    cone = cone_sequence(aut, a_ids, perms)
     if not cone.is_subspace:
         raise NotTransitive("synthesis bound needs a transitive permutation set")
 

@@ -22,7 +22,7 @@ from .automaton import (
     word_image_mask,
 )
 from .bounds import BoundsReport, build_bounds_report, synthesize_reset_word
-from .cones import ConeReport, resolved_cone_sequence
+from .cones import ConeReport, cone_sequence
 from .errors import NotSynchronizing, SynchroError
 from .fileformat import emit_automaton, parse_automaton
 from .generate import cerny, random_st
@@ -228,7 +228,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     sync = is_synchronizing(aut)
     if not sync:
         raise NotSynchronizing("automaton admits no reset word")
-    cone = resolved_cone_sequence(aut, a_ids, perms)
+    cone = cone_sequence(aut, a_ids, perms)
     try:
         trace = gamma_growth(aut, cone.perms)
         growth = _growth_dict(trace)
@@ -288,8 +288,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
     aut = _read_automaton(args.file)
-    a_ids = _resolve_perm_set(aut, args.perm_set)[0]
-    result = synthesize_reset_word(aut, a_ids)
+    a_ids, perms = _resolve_perm_set(aut, args.perm_set)
+    result = synthesize_reset_word(aut, a_ids, perms)
     report = {
         "command": "synthesize",
         "automaton": _automaton_dict(aut),

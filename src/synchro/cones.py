@@ -38,7 +38,7 @@ from .errors import (
     ResourceCap,
 )
 from .linalg import Cone, RowEchelon, Vector
-from .permgroup import Perm, inverse, is_transitive, resolve_perm_set
+from .permgroup import Perm, inverse, is_transitive
 
 
 @dataclass(frozen=True)
@@ -147,17 +147,13 @@ class ConeReport:
 GENERATOR_CAP = 1 << 20
 
 
-def cone_sequence(aut: Automaton, a_set: Sequence[int] | None = None) -> ConeReport:
-    """:func:`resolved_cone_sequence` under the permutation letters ``a_set``
-    (default: every defect-0 letter); rejects letters of positive defect."""
-    return resolved_cone_sequence(aut, *resolve_perm_set(aut, a_set))
-
-
-def resolved_cone_sequence(
+def cone_sequence(
     aut: Automaton, a_ids: tuple[int, ...], perms: tuple[Perm, ...]
 ) -> ConeReport:
     """Iterate the generator sets under the permutation letters ``a_ids``,
-    whose permutations are ``perms``, to both transient lengths.
+    whose permutations are ``perms`` (the pair that
+    :func:`~synchro.permgroup.resolve_perm_set` returns), to both transient
+    lengths.
 
     The set transient is the first level whose shift adds no new vector; the
     cone transient K is the first level at which every newly shifted

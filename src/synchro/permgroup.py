@@ -30,24 +30,13 @@ def inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def is_permutation(images: Sequence[int]) -> bool:
-    return sorted(images) == list(range(len(images)))
-
-
 def permutation_of_letter(aut: Automaton, letter: int) -> Perm:
     """The bijection q -> q.letter; rejects letters of positive defect."""
     aut.validate_word((letter,))
-    row = aut.table[letter]
-    if not is_permutation(row):
-        raise NotAPermutation(
-            f"letter {aut.letters[letter]!r} has defect {aut.letter_defects[letter]}"
-        )
-    return tuple(row)
-
-
-def permutation_letters(aut: Automaton) -> tuple[int, ...]:
-    """Letter ids of defect 0, in alphabet order."""
-    return tuple(a for a, d in enumerate(aut.letter_defects) if d == 0)
+    defect = aut.letter_defects[letter]
+    if defect:
+        raise NotAPermutation(f"letter {aut.letters[letter]!r} has defect {defect}")
+    return tuple(aut.table[letter])
 
 
 def resolve_perm_set(
@@ -56,7 +45,7 @@ def resolve_perm_set(
     """Sorted distinct letter ids (default: all defect-0 letters) and their
     permutations; rejects letters of positive defect."""
     if letters is None:
-        ids = permutation_letters(aut)
+        ids = tuple(a for a, d in enumerate(aut.letter_defects) if d == 0)
     else:
         ids = tuple(sorted(set(letters)))
     return ids, tuple(permutation_of_letter(aut, a) for a in ids)

@@ -42,6 +42,7 @@ from .growth import (
     verify_growth_lemmas,
 )
 from .linalg import Cone, unit_difference
+from .permgroup import resolve_perm_set
 
 
 # The lemma audit enumerates every subset while 2^n is at most this, and
@@ -159,7 +160,7 @@ def lemma_suite(aut: Automaton) -> LemmaReport:
         report.add_na("limit_generators_sum_zero", "no deficient letter")
         return report
 
-    cone = cone_sequence(aut)
+    cone = cone_sequence(aut, *resolve_perm_set(aut))
     transitive = cone.is_subspace
     vectors = cone.limit_vectors
     report.add("limit_generators_sum_zero", all(sum(v) == 0 for v in vectors), "")
@@ -343,7 +344,7 @@ def suite_cerny(n_max: int) -> SuiteReport:
             fails.append(f"n={n}: reset threshold {rt} != {square}")
         if word_image_mask(aut, aut.full_mask, witness).bit_count() != 1:
             fails.append(f"n={n}: witness does not reset")
-        tight = bound_main(cone_sequence(aut, (0,)))
+        tight = bound_main(cone_sequence(aut, *resolve_perm_set(aut, (0,))))
         if tight != square:
             fails.append(f"n={n}: dimension bound {tight} != {square}")
     report.details["family_sizes"] = sizes
@@ -389,7 +390,7 @@ def suite_bounds(count: int, ns: Sequence[int], seed: int) -> SuiteReport:
     for label, aut in instances:
         report.checked += 1
         rt, _ = reset_threshold_exact(aut)
-        result = synthesize_reset_word(aut)
+        result = synthesize_reset_word(aut, *resolve_perm_set(aut))
         if not result.verified:
             fails.append(f"{label}: synthesized word not verified")
         if rt > result.length:

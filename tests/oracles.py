@@ -22,6 +22,13 @@ from synchro.linalg import in_cone, unit_difference
 from synchro.permgroup import DEFAULT_GROUP_CAP, compose, identity, resolve_perm_set
 
 
+def with_perm_set(aut, letters=None):
+    """``(aut, ids, perms)`` with the permutation set that
+    ``resolve_perm_set(aut, letters)`` resolves, to unpack into
+    ``cone_sequence`` or ``synthesize_reset_word``."""
+    return (aut, *resolve_perm_set(aut, letters))
+
+
 def apply_word(aut, states, word):
     """Forward action: the set {q.w : q in states}, 1-indexed."""
     aut.validate_word(word)

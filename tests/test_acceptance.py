@@ -54,7 +54,7 @@ def test_criterion_2_family_bound_tightness():
     failures = []
     for n in range(3, 9):
         aut = cerny(n)
-        cone = cone_sequence(aut, (0,))
+        cone = cone_sequence(aut, *resolve_perm_set(aut, (0,)))
         if cone.span_dim != n - 1:
             failures.append(f"n={n}: dim {cone.span_dim} != {n - 1}")
         if cone.trans_len_k != n - 1:

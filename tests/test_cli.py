@@ -65,10 +65,12 @@ class TestAnalyze:
         text = capsys.readouterr().out
         assert "bounds: main 9, square 9, rystsov 15/13, defect1 11" in text
 
-    def test_perm_set_resolved_once(self, monkeypatch, capsys, c4_file):
-        # for --perm-set; the cone, growth and bounds take the resolved set
+    @pytest.mark.parametrize("command", ["analyze", "synthesize"])
+    def test_perm_set_resolved_once(self, monkeypatch, capsys, c4_file, command):
+        # for --perm-set; the cone, growth, bounds and synthesis take the
+        # resolved set
         counts = count_calls(monkeypatch, "permgroup.resolve_perm_set")
-        assert main(["analyze", c4_file]) == 0
+        assert main([command, c4_file, "--json"]) == 0
         assert counts == {"resolve_perm_set": 1}
 
     def test_nonsynchronizing_exit_code(self, capsys, tmp_path):

@@ -46,6 +46,7 @@ from oracles import (
     shift_vector,
     shortest_escape,
     vector_times_matrix,
+    with_perm_set,
 )
 
 
@@ -156,7 +157,7 @@ class TestShiftIdentity:
             merge = list(range(n))
             merge[states[0]] = states[rng.randrange(1, n)]
             aut = Automaton(("a", "b"), (tuple(cycle), tuple(merge)))
-            cone = cone_sequence(aut, (0,))
+            cone = cone_sequence(*with_perm_set(aut, (0,)))
             by_word = {kv.word: kv.vector for kv in cone.limit_generators}
             assert len(by_word) == n
             for word, vector in by_word.items():
@@ -173,20 +174,20 @@ class TestShiftIdentity:
 
 class TestConeSequence:
     def test_family_transients(self, c4):
-        cone = cone_sequence(c4, (0,))
+        cone = cone_sequence(*with_perm_set(c4, (0,)))
         assert cone.trans_len_t == 3
         assert cone.trans_len_k == 3
         assert cone.span_dim == 3
         assert cone.is_subspace
 
     def test_tiers_grow_monotonically(self, c4):
-        cone = cone_sequence(c4, (0,))
+        cone = cone_sequence(*with_perm_set(c4, (0,)))
         tiers = [cone.tier(i) for i in range(len(cone.level_ends))]
         for early, late in zip(tiers, tiers[1:]):
             assert early < late
 
     def test_stabilization_certificate(self, c4):
-        cone = cone_sequence(c4, (0,))
+        cone = cone_sequence(*with_perm_set(c4, (0,)))
         j = cone.trans_len_k
         prev = list(cone.tier(j - 1))
         assert any(not in_cone(v, prev) for v in cone.tier(j) - cone.tier(j - 1))
@@ -194,12 +195,12 @@ class TestConeSequence:
     def test_no_deficient_letters(self):
         aut = Automaton(("a",), ((1, 0),))
         with pytest.raises(NoDeficientLetters):
-            cone_sequence(aut, (0,))
+            cone_sequence(*with_perm_set(aut, (0,)))
 
     def test_fixed_seed_pair_stabilizes_immediately(self):
         # the permutation letter fixes both distinguished states of b
         aut = Automaton(("a", "b"), ((0, 1, 3, 2), (0, 0, 2, 3)))
-        cone = cone_sequence(aut, (0,))
+        cone = cone_sequence(*with_perm_set(aut, (0,)))
         assert cone.trans_len_k == 0
         assert cone.trans_len_t == 0
 
@@ -213,7 +214,7 @@ class TestConeSequence:
             aut = Automaton(("a", "b"), (perm_row, merge))
             if 0 in set(aut.letter_defects[1:2]):
                 continue
-            cone = cone_sequence(aut, (0,))
+            cone = cone_sequence(*with_perm_set(aut, (0,)))
             for i in range(len(cone.level_ends)):
                 tier = cone.tier(i)
                 expected = set()
@@ -252,7 +253,7 @@ class TestConeTransientAgainstReference:
 
     @staticmethod
     def check(aut, a_set=None):
-        cone = cone_sequence(aut, a_set)
+        cone = cone_sequence(*with_perm_set(aut, a_set))
         got = (cone.span_dim, cone.trans_len_k, cone.trans_len_t)
         assert got == reference_trans_len_k(aut, a_set), aut.table
         return cone
@@ -304,7 +305,7 @@ class TestConeTransientAgainstReference:
         # n = 8, one letter merging two pairs: 420 limit vectors under the group
         aut = orbit_instance(random.Random(8), 8, (2, 2))
         counts = count_calls(monkeypatch, "linalg._cone_lp_feasible")
-        cone = cone_sequence(aut)
+        cone = cone_sequence(*with_perm_set(aut))
         assert cone.is_subspace and len(cone.limit_generators) == 420
         assert 0 < counts["_cone_lp_feasible"] <= cone.trans_len_k + 1
 
@@ -315,9 +316,9 @@ class TestGeneratorCap:
         aut = orbit_instance(random.Random(8), 8, (2, 2))
         monkeypatch.setattr(cones, "GENERATOR_CAP", 419)
         with pytest.raises(ResourceCap, match="420 generators at level"):
-            cone_sequence(aut)
+            cone_sequence(*with_perm_set(aut))
         monkeypatch.setattr(cones, "GENERATOR_CAP", 420)
-        assert len(cone_sequence(aut).limit_generators) == 420
+        assert len(cone_sequence(*with_perm_set(aut)).limit_generators) == 420
 
 
 class TestSaturatedElimination:
@@ -333,7 +334,7 @@ class TestSaturatedElimination:
             return real(self, v)
 
         monkeypatch.setattr(RowEchelon, "add", counting)
-        cone = cone_sequence(aut)
+        cone = cone_sequence(*with_perm_set(aut))
         monkeypatch.undo()
         vectors = cone.limit_vectors
         basis = span_basis(vectors, aut.n)
@@ -344,7 +345,7 @@ class TestSaturatedElimination:
 
 class TestLimitSubspace:
     def test_family_limit_is_sum_zero(self, c4):
-        cone = cone_sequence(c4, (0,))
+        cone = cone_sequence(*with_perm_set(c4, (0,)))
         assert cone.is_subspace
         assert cone.span_dim == 3
         assert rref_basis(cone.limit_vectors, 4) == rref_basis(
@@ -353,14 +354,14 @@ class TestLimitSubspace:
 
     def test_two_state_swap_and_merge(self):
         aut = cerny(2)
-        assert cone_sequence(aut, (0,)).span_dim == 1
+        assert cone_sequence(*with_perm_set(aut, (0,))).span_dim == 1
 
     def test_nontransitive_is_not_a_subspace(self):
         aut = Automaton(("a", "b"), ((0, 1, 3, 2), (0, 0, 2, 3)))
-        assert not cone_sequence(aut, (0,)).is_subspace
+        assert not cone_sequence(*with_perm_set(aut, (0,))).is_subspace
 
     def test_negation_closure(self, c4):
-        cone = cone_sequence(c4, (0,))
+        cone = cone_sequence(*with_perm_set(c4, (0,)))
         for v in cone.limit_vectors:
             assert in_cone(tuple(-x for x in v), cone.limit_vectors)
 
@@ -377,18 +378,18 @@ def brute_force_escape_length(aut, vectors, s, max_len):
 
 class TestEscapeLength:
     def test_singletons_escape_immediately(self, c4):
-        cone = cone_sequence(c4, (0,))
+        cone = cone_sequence(*with_perm_set(c4, (0,)))
         assert ell(c4, cone, {1}) == (0, ())
 
     def test_every_proper_subset_escapes_immediately(self, c4):
-        cone = cone_sequence(c4, (0,))
+        cone = cone_sequence(*with_perm_set(c4, (0,)))
         for r in range(1, 4):
             for s in itertools.combinations(range(1, 5), r):
                 assert ell(c4, cone, frozenset(s))[0] == 0
 
     def test_guards(self, c4):
         # the automaton is checked before the cone is read
-        cone = cone_sequence(c4, (0,))
+        cone = cone_sequence(*with_perm_set(c4, (0,)))
         perm_only = Automaton(("a",), ((1, 0),))
         with pytest.raises(NotSynchronizing):
             ell(perm_only, cone, {1})
@@ -397,7 +398,7 @@ class TestEscapeLength:
             ell(disconnected, cone, {1})
 
     def test_rejects_trivial_subsets(self, c4):
-        cone = cone_sequence(c4, (0,))
+        cone = cone_sequence(*with_perm_set(c4, (0,)))
         with pytest.raises(ValueError):
             ell(c4, cone, set())
         with pytest.raises(ValueError):
@@ -415,7 +416,7 @@ class TestEscapeLength:
                 continue
             if not any(d > 0 for d in aut.letter_defects):
                 continue
-            cone = cone_sequence(aut, None)
+            cone = cone_sequence(*with_perm_set(aut))
             checked += 1
             s = frozenset(rng.sample(range(1, n + 1), rng.randrange(1, n)))
             got_len, got_word = ell(aut, cone, s)
@@ -425,7 +426,7 @@ class TestEscapeLength:
             assert not in_polar_cone(char_vector(escaped, n), cone.limit_vectors)
 
     def test_batch_distances_match_single_queries(self, c4):
-        cone = cone_sequence(c4, (0,))
+        cone = cone_sequence(*with_perm_set(c4, (0,)))
         dist, step = ell_all(c4, cone.limit_vectors)
         for mask in range(1, 15):
             got, _ = ell(c4, cone, states_of(mask))
@@ -491,13 +492,13 @@ class TestSupportSums:
         # the escape and extension tests of one synthesis read the supports
         # cached on the cone, built once per extension candidate
         counts = count_calls(monkeypatch, "cones.support_masks")
-        result = synthesize_reset_word(cerny(20))
+        result = synthesize_reset_word(*with_perm_set(cerny(20)))
         assert len(result.steps) > 10
         assert 0 < counts["support_masks"] <= len(result.cone.extension_candidates)
 
     def test_candidates_are_the_levels_through_k(self):
         for aut in (cerny(7), orbit_instance(random.Random(3), 7, (2, 2))):
-            cone = cone_sequence(aut)
+            cone = cone_sequence(*with_perm_set(aut))
             k = cone.trans_len_k
             candidates = cone.extension_candidates
             assert candidates == cone.limit_generators[: cone.level_ends[k]]
@@ -511,7 +512,7 @@ class TestEscapeSupports:
 
     @staticmethod
     def check(aut, rng, trials=30):
-        cone = cone_sequence(aut)
+        cone = cone_sequence(*with_perm_set(aut))
         every = [support_masks(v) for v in cone.limit_vectors]
         candidates = [support_masks(kv.vector) for kv in cone.extension_candidates]
         assert list(cone.escape_supports[: len(candidates)]) == candidates
@@ -560,19 +561,19 @@ class TestEscapeSupports:
 
 class TestExtendSubset:
     def test_single_merging_letter_suffices(self, c4):
-        word, _ = extend_mask(c4, mask_of({2}, 4), cone_sequence(c4, (0,)))
+        word, _ = extend_mask(c4, mask_of({2}, 4), cone_sequence(*with_perm_set(c4, (0,))))
         assert word == c4.word("b")
         assert preimage(c4, {2}, word) == {1, 2}
 
     def test_grows_to_full_set(self, c4):
-        word, _ = extend_mask(c4, mask_of({1, 2, 3}, 4), cone_sequence(c4, (0,)))
+        word, _ = extend_mask(c4, mask_of({1, 2, 3}, 4), cone_sequence(*with_perm_set(c4, (0,))))
         assert len(word) <= 4
         assert len(preimage(c4, {1, 2, 3}, word)) == 4
 
     def test_full_set_rejected(self, c4):
         # the full set never leaves the polar cone, so the escape search fails
         with pytest.raises(InternalContradiction):
-            extend_mask(c4, c4.full_mask, cone_sequence(c4, (0,)))
+            extend_mask(c4, c4.full_mask, cone_sequence(*with_perm_set(c4, (0,))))
 
     def test_length_within_cone_bound_everywhere(self):
         rng = random.Random(9)
@@ -586,7 +587,7 @@ class TestExtendSubset:
             except Exception:
                 continue
             checked += 1
-            cone = cone_sequence(aut, None)
+            cone = cone_sequence(*with_perm_set(aut))
             for r in range(1, n):
                 for s in itertools.combinations(range(1, n + 1), r):
                     s = frozenset(s)

@@ -24,7 +24,7 @@ from synchro.growth import (
 )
 from synchro.permgroup import is_transitive, resolve_perm_set
 
-from oracles import reference_rank_detail
+from oracles import reference_rank_detail, with_perm_set
 
 
 def growth_lemmas(aut, a_set=None):
@@ -309,13 +309,13 @@ class TestRankCheckAgainstReference:
 
 class TestTransientBound:
     def test_family_bound(self, c4):
-        cone = cone_sequence(c4, (0,))
+        cone = cone_sequence(*with_perm_set(c4, (0,)))
         assert translen_k_bound(c4, cone) == 4
         assert cone.trans_len_k <= 4
 
     def test_half_dimension_case(self):
         aut = cerny(2)
-        cone = cone_sequence(aut, (0,))
+        cone = cone_sequence(*with_perm_set(aut, (0,)))
         assert cone.span_dim * 2 == aut.n
         assert translen_k_bound(aut, cone) == 2
 
@@ -324,7 +324,7 @@ class TestTransientBound:
         # into two 2-cycles, so the limit cone has dimension n/2 and the
         # component bound degrades to n (the bound needs no synchronization)
         aut = Automaton(("a", "b"), ((1, 2, 3, 0), (2, 1, 2, 3)))
-        cone = cone_sequence(aut, (0,))
+        cone = cone_sequence(*with_perm_set(aut, (0,)))
         trace = gamma_growth(aut, cone.perms)
         assert cone.span_dim == 2 and trace.d == 2
         assert translen_k_bound(aut, cone) == 4
@@ -336,19 +336,19 @@ class TestTransientBound:
     def test_defect_two_rejected(self):
         aut = Automaton(("a", "b"), ((1, 2, 0), (0, 0, 0)))
         with pytest.raises(UnsupportedAlphabet):
-            translen_k_bound(aut, cone_sequence(aut, (0,)))
+            translen_k_bound(aut, cone_sequence(*with_perm_set(aut, (0,))))
 
     def test_nontransitive_rejected(self):
         perm = (2, 3, 4, 5, 0, 1)
         merge = (1, 1, 2, 3, 4, 5)
         aut = Automaton(("a", "b"), (perm, merge))
         with pytest.raises(NotTransitive):
-            translen_k_bound(aut, cone_sequence(aut, (0,)))
+            translen_k_bound(aut, cone_sequence(*with_perm_set(aut, (0,))))
 
     def test_bound_holds_on_random_instances(self):
         rng = random.Random(31)
         for _ in range(15):
             n = rng.randrange(4, 9)
             aut = random_st(n, 1, rng.choice((1, 2)), rng.randrange(1 << 20))
-            cone = cone_sequence(aut)
+            cone = cone_sequence(*with_perm_set(aut))
             assert cone.trans_len_k <= translen_k_bound(aut, cone)

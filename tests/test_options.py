@@ -2,7 +2,8 @@
 of a public function or method is a value a caller can set, so adding or
 removing one takes a deliberate edit of ``OPTIONS``.  An entry point computes
 each fact once and passes it down, so no public function computes a missing
-argument itself either."""
+argument itself either, and only the entry points resolve the permutation
+set."""
 
 import ast
 import pathlib
@@ -12,12 +13,14 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "synchro"
 # each option with its reason
 OPTIONS = {
     "automaton.reset_threshold_exact(cap)",  # the CLI's --subset-cap and the suites' default
-    "bounds.synthesize_reset_word(a_set)",  # the CLI's --perm-set and the suites' default
     "cli.main(argv)",  # sys.argv or a caller's list
-    "cones.cone_sequence(a_set)",  # the CLI's --perm-set and the suites' default
     "permgroup.resolve_perm_set(letters)",  # every defect-0 letter or --perm-set
     "verify.suite_lemmas(exhaustive_n_max)",  # a param of the golden verify-lemmas report
 }
+
+# the modules whose entry points resolve the permutation set; every function
+# below them takes the resolved ids and permutations
+PERM_SET_RESOLVERS = {"cli", "generate", "verify"}
 
 
 def defaulted_parameters(func):
@@ -155,3 +158,28 @@ def test_no_parameter_is_computed_if_absent():
     for path in sorted(SRC.glob("*.py")):
         found |= compute_if_absent(path.read_text(), path.stem)
     assert sorted(found) == [], "take the value from the caller instead of computing it"
+
+
+def calls(source, name):
+    """Whether ``source`` calls ``name``, bare or as an attribute."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == name) or (
+                isinstance(func, ast.Attribute) and func.attr == name
+            ):
+                return True
+    return False
+
+
+def test_scanner_finds_calls():
+    assert calls("def f(aut):\n    return g(resolve(aut))[1]\n", "resolve")
+    assert calls("x = permgroup.resolve(aut)\n", "resolve")
+    assert not calls("from m import resolve\nx = resolve\ndef resolve(): pass\n", "resolve")
+
+
+def test_only_entry_points_resolve_the_perm_set():
+    found = {
+        path.stem for path in SRC.glob("*.py") if calls(path.read_text(), "resolve_perm_set")
+    }
+    assert sorted(found - PERM_SET_RESOLVERS) == [], "take the resolved set from the caller"

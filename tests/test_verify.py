@@ -21,6 +21,7 @@ from synchro.verify import (
 )
 
 from conftest import count_calls
+from oracles import with_perm_set
 
 
 def tamper(monkeypatch, name, change):
@@ -160,7 +161,7 @@ class TestLemmaSuite:
     def test_extension_within_2n_minus_3_is_tight_on_cerny3(self):
         aut = cerny(3)
         assert lemma_suite(aut).by_name("extension_within_2n_minus_3").status == "pass"
-        cone = cone_sequence(aut)
+        cone = cone_sequence(*with_perm_set(aut))
         longest = max(len(extend_mask(aut, mask, cone)[0]) for mask in range(1, aut.full_mask))
         assert longest == 3 == 2 * aut.n - 3
 
@@ -250,9 +251,9 @@ class TestLemmaSuite:
         assert inst.by_name(ESCAPE).status == inst.by_name(EXTENSION).status == "pass"
 
     def test_perm_set_resolved_and_tested_once_per_reader(self, monkeypatch):
-        # resolved and tested for transitivity by cone_sequence alone
-        # (lemma_suite, verify_growth_lemmas and translen_k_bound read
-        # cone.is_subspace)
+        # resolved by lemma_suite and tested for transitivity by
+        # cone_sequence alone (lemma_suite, verify_growth_lemmas and
+        # translen_k_bound read cone.is_subspace)
         counts = count_calls(
             monkeypatch, "permgroup.resolve_perm_set", "permgroup.is_transitive"
         )
@@ -314,7 +315,7 @@ class TestSuites:
         assert report.seed == 3
 
     def test_bounds_suite_resolves_the_perm_set_once_per_instance(self, monkeypatch):
-        # in synthesis's cone_sequence; bound_rystsov reads that cone's perms
+        # by suite_bounds for synthesis; bound_rystsov reads the cone's perms
         counts = count_calls(monkeypatch, "permgroup.resolve_perm_set")
         assert suite_bounds(10, range(5, 11), 0).ok
         assert counts == {"resolve_perm_set": 10}
