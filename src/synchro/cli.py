@@ -62,7 +62,7 @@ _FLAGS = {
         type=_positive_int,
         default=DEFAULT_GROUP_CAP,
         metavar="INT",
-        help="group enumeration cap for diameter-based bounds",
+        help="group order cap for diameter-based bounds",
     ),
     "--seed": dict(type=int, default=0, metavar="INT", help="random seed"),
 }

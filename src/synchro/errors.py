@@ -38,7 +38,11 @@ class InternalContradiction(SynchroError):
 
 
 class CapExceeded(SynchroError):
-    """Group closure grew past the configured cap; carries the partial count."""
+    """A group's order exceeds the configured cap.
+
+    ``partial_count`` is a proven lower bound on the order that already
+    exceeds the cap (it equals the order when the cap is the order minus 1).
+    """
 
     exit_code = 7
 

@@ -73,6 +73,22 @@ class TestAnalyze:
         assert main([command, c4_file, "--json"]) == 0
         assert counts == {"resolve_perm_set": 1}
 
+    def test_over_cap_group_never_enumerated(self, monkeypatch, capsys, tmp_path):
+        # the group of random_st(12, 2, 1, 5) is A_12 or S_12, far over the
+        # default --group-cap: its order is bounded before any BFS step
+        path = tmp_path / "big.txt"
+        path.write_text(emit_automaton(random_st(12, 2, 1, 5)))
+
+        def no_gather(*h):
+            raise AssertionError("Cayley BFS entered over the cap")
+
+        monkeypatch.setattr("synchro.permgroup.itemgetter", no_gather)
+        code, report = run_json(capsys, ["analyze", str(path), "--json"])
+        assert code == 0
+        assert report["bounds"]["group_order"] is None
+        assert report["bounds"]["bound_rystsov_exact"] is None
+        assert report["bounds"]["bound_rystsov_prefix"] is None
+
     def test_nonsynchronizing_exit_code(self, capsys, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text(NONSYNC_TEXT)

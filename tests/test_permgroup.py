@@ -1,4 +1,5 @@
 import random
+from operator import itemgetter
 
 import pytest
 
@@ -6,6 +7,7 @@ from synchro.automaton import Automaton
 from synchro.errors import CapExceeded, NotAPermutation
 from synchro.permgroup import (
     DEFAULT_GROUP_CAP,
+    _group_order,
     cayley_diameters,
     compose,
     identity,
@@ -86,6 +88,26 @@ def seeded_generating_sets(count, seed):
     for _ in range(count):
         n = rng.randrange(1, 7)
         gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randrange(1, 4))]
+        extra = rng.random()
+        if extra < 0.2:
+            gens.insert(rng.randrange(len(gens) + 1), identity(n))
+        elif extra < 0.4:
+            gens.append(rng.choice(gens))
+        yield gens, n
+
+
+def seeded_order_sets(count, seed):
+    """Generating sets on 1..7 points with 1-3 generators; a third of them
+    keep two blocks of points apart (intransitive), and some contain the
+    identity or repeat a generator."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(1, 8)
+        cut = rng.randrange(1, n) if n > 1 and rng.random() < 1 / 3 else n
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            low, high = rng.sample(range(cut), cut), rng.sample(range(cut, n), n - cut)
+            gens.append(tuple(low + high))
         extra = rng.random()
         if extra < 0.2:
             gens.insert(rng.randrange(len(gens) + 1), identity(n))
@@ -178,6 +200,30 @@ class TestClosure:
                 assert len(group_closure(gens, n)) % n == 0
 
 
+class TestGroupOrder:
+    def test_matches_closure_and_cap_boundary(self):
+        kinds = set()
+        for gens, n in seeded_order_sets(400, 29):
+            order = len(group_closure(gens, n))
+            assert _group_order(gens, n, order) == order, (gens, n)
+            if order > 1:
+                with pytest.raises(CapExceeded) as info:
+                    _group_order(gens, n, order - 1)
+                assert info.value.partial_count == order
+            kinds.add((n == 1, identity(n) in gens, len(set(gens)) < len(gens),
+                       is_transitive(gens, n)))
+        for i in range(4):
+            assert {kind[i] for kind in kinds} == {False, True}
+
+    def test_large_group_stops_early(self):
+        # A_64 or S_64: the lower bound passes the cap after a few levels
+        rng = random.Random(31)
+        gens = [tuple(rng.sample(range(64), 64)) for _ in range(2)]
+        with pytest.raises(CapExceeded) as info:
+            _group_order(gens, 64, 20000)
+        assert 20000 < info.value.partial_count <= 64 * 63 * 62
+
+
 class TestCayleyDiameter:
     def test_four_cycle_needs_full_lap_for_identity(self):
         d = cayley_diameters([FOUR_CYCLE], 4, DEFAULT_GROUP_CAP)
@@ -245,14 +291,21 @@ class TestCayleyDiameter:
             assert cayley_diameters(gens, n, order).order == order
 
     def test_one_group_traversal(self, monkeypatch):
-        # one BFS composes every element with every distinct generator once
-        calls = []
+        # one BFS applies each distinct generator to each element at most once
+        built, applied = [], []
 
-        def counting(p, q):
-            calls.append(1)
-            return compose(p, q)
+        def counting(*h):
+            gather = itemgetter(*h)
+            built.append(h)
 
-        monkeypatch.setattr("synchro.permgroup.compose", counting)
+            def apply(g):
+                applied.append(1)
+                return gather(g)
+
+            return apply
+
+        monkeypatch.setattr("synchro.permgroup.itemgetter", counting)
         gens = [SWAP01, THREE_CYCLE, SWAP01]
         assert cayley_diameters(gens, 3, DEFAULT_GROUP_CAP).order == 6
-        assert len(calls) == 6 * 2
+        assert len(built) == 2
+        assert len(applied) <= 6 * 2
