@@ -11,7 +11,7 @@ bounds the cone transient length computed in :mod:`synchro.cones`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .automaton import Automaton, Word, letters_of_defect, reach, states_of
 from .cones import ConeReport, k_vector
@@ -231,11 +231,19 @@ class LemmaReport:
 
     checks: list[LemmaCheck] = field(default_factory=list)
 
-    def add(self, name: str, ok: bool, detail: str) -> None:
-        self.checks.append(LemmaCheck(name, "pass" if ok else "fail", detail))
+    def run(self, table: Iterable[tuple], facts: Any, unmet: Mapping[str, str]) -> LemmaReport:
+        """Record each ``(name, hypotheses, check)`` row of ``table`` in order.
 
-    def add_na(self, name: str, why: str) -> None:
-        self.checks.append(LemmaCheck(name, "n/a", why))
+        A row reads n/a with the reason ``unmet`` gives for the first of its
+        hypotheses that it names; any other row records the ``(ok, detail)``
+        that ``check(facts)`` returns, where ok None means n/a.
+        """
+        for name, hypotheses, check in table:
+            why = next((unmet[h] for h in hypotheses if h in unmet), None)
+            ok, detail = (None, why) if why is not None else check(facts)
+            status = "n/a" if ok is None else "pass" if ok else "fail"
+            self.checks.append(LemmaCheck(name, status, detail))
+        return self
 
     @property
     def ok(self) -> bool:
@@ -252,37 +260,23 @@ class LemmaReport:
         raise KeyError(name)
 
 
-def verify_growth_lemmas(trace: GrowthTrace, transitive: bool) -> LemmaReport:
-    """Run every growth-structure theorem on ``trace`` as an executable check.
+def _arc_shift_closure(trace: GrowthTrace) -> tuple[bool, str]:
+    for i in range(trace.transient + 1):
+        for arc in sorted(trace.at(i).arcs):
+            for perm in trace.perms:
+                if shift_arc(arc, perm) not in trace.at(i + 1).arcs:
+                    return False, f"arc {arc} shifted out of level {i + 1}"
+    return True, ""
 
-    All of these are proved facts, so any failure indicates an implementation
-    bug.  ``transitive`` says whether the permutations of the trace act
-    transitively (the caller has tested it, e.g. as ``cone.is_subspace``);
-    checks whose hypothesis needs that are reported n/a when they do not.
-    """
-    perms = trace.perms
-    n = trace.n
-    report = LemmaReport()
 
-    shift_detail = next(
-        (
-            f"arc {arc} shifted out of level {i + 1}"
-            for i in range(trace.transient + 1)
-            for arc in sorted(trace.at(i).arcs)
-            for perm in perms
-            if shift_arc(arc, perm) not in trace.at(i + 1).arcs
-        ),
-        "",
-    )
-    report.add("arc_shift_closure", not shift_detail, shift_detail)
-
+def _incidence_rank(trace: GrowthTrace) -> tuple[bool, str]:
     # the arc vectors span a space of rank n - #weak components, whose
     # orthogonal complement the component indicators span.  Levels only
     # grow, so one running elimination takes each level's new arcs.  The
     # indicators have disjoint supports, so once there are n - rank of them
     # they span the complement exactly when each is orthogonal to every arc,
     # i.e. when no arc joins two components.
-    rank_detail = ""
+    n = trace.n
     echelon = RowEchelon(n)
     previous: frozenset[Arc] = frozenset()
     for i, (level, deco) in enumerate(zip(trace.levels, trace.decompositions)):
@@ -291,62 +285,73 @@ def verify_growth_lemmas(trace: GrowthTrace, transitive: bool) -> LemmaReport:
         previous = level.arcs
         expected = n - len(deco.wccs)
         if echelon.rank != expected:
-            rank_detail = f"level {i}: rank {echelon.rank} != {expected}"
-            break
+            return False, f"level {i}: rank {echelon.rank} != {expected}"
         component = {v: c for c, w in enumerate(deco.wccs) for v in w}
         if any(component.get(p) != component.get(q) for p, q in level.arcs):
-            rank_detail = f"level {i}: complement differs from component span"
-            break
-    report.add("incidence_rank_matches_weak_components", not rank_detail, rank_detail)
+            return False, f"level {i}: complement differs from component span"
+    return True, ""
 
-    if not transitive:
-        why = "permutation set not transitive"
-        for name in (
-            "weak_equals_strong_at_limit",
-            "weak_components_stable_early",
-            "every_vertex_covered_early",
-            "strong_stable_by_n_when_many_components",
-            "strong_stable_late_when_few_components",
-        ):
-            report.add_na(name, why)
-        return report
 
-    limit_deco = trace.limit_decomposition
-    d = trace.d
-    report.add(
-        "weak_equals_strong_at_limit",
-        limit_deco.wcc_partition == limit_deco.scc_partition,
-        f"{len(limit_deco.wccs)} weak vs {len(limit_deco.sccs)} strong",
-    )
-    report.add(
-        "weak_components_stable_early",
-        trace.decomposition_at(n - d - 1).wcc_partition == limit_deco.wcc_partition,
-        f"checked at level {n - d - 1}",
-    )
+def _weak_equals_strong(trace: GrowthTrace) -> tuple[bool, str]:
+    limit = trace.limit_decomposition
+    same = limit.wcc_partition == limit.scc_partition
+    return same, f"{len(limit.wccs)} weak vs {len(limit.sccs)} strong"
+
+
+def _weak_stable_early(trace: GrowthTrace) -> tuple[bool, str]:
+    i = trace.n - trace.d - 1
+    stable = trace.decomposition_at(i).wcc_partition == trace.limit_decomposition.wcc_partition
+    return stable, f"checked at level {i}"
+
+
+def _covered_early(trace: GrowthTrace) -> tuple[bool, str]:
+    n = trace.n
     early = trace.at(n - 1)
     heads = {q for _, q in early.arcs}
     tails = {p for p, _ in early.arcs}
-    report.add(
-        "every_vertex_covered_early",
-        all(v in heads and v in tails for v in range(1, n + 1)),
-        f"level {n - 1}",
-    )
+    return all(v in heads and v in tails for v in range(1, n + 1)), f"level {n - 1}"
+
+
+def _strong_stable_by_n(trace: GrowthTrace) -> tuple[bool | None, str]:
+    n, d = trace.n, trace.d
+    if 3 * d <= n:
+        return None, f"d={d} <= n/3"
+    limit = trace.limit_decomposition
+    return trace.decomposition_at(n).scc_partition == limit.scc_partition, f"d={d}"
+
+
+def _strong_stable_late(trace: GrowthTrace) -> tuple[bool | None, str]:
+    n, d = trace.n, trace.d
     if 3 * d > n:
-        report.add(
-            "strong_stable_by_n_when_many_components",
-            trace.decomposition_at(n).scc_partition == limit_deco.scc_partition,
-            f"d={d}",
-        )
-        report.add_na("strong_stable_late_when_few_components", f"d={d} > n/3")
-    else:
-        report.add_na("strong_stable_by_n_when_many_components", f"d={d} <= n/3")
-        idx = 2 * n - 3 * d - 1
-        report.add(
-            "strong_stable_late_when_few_components",
-            trace.decomposition_at(idx).scc_partition == limit_deco.scc_partition,
-            f"checked at level {idx}, d={d}",
-        )
-    return report
+        return None, f"d={d} > n/3"
+    i = 2 * n - 3 * d - 1
+    stable = trace.decomposition_at(i).scc_partition == trace.limit_decomposition.scc_partition
+    return stable, f"checked at level {i}, d={d}"
+
+
+# The growth-structure theorems, in report order, each with the hypotheses
+# it needs and its check on a growth trace.
+GROWTH_CHECKS = (
+    ("arc_shift_closure", (), _arc_shift_closure),
+    ("incidence_rank_matches_weak_components", (), _incidence_rank),
+    ("weak_equals_strong_at_limit", ("transitive",), _weak_equals_strong),
+    ("weak_components_stable_early", ("transitive",), _weak_stable_early),
+    ("every_vertex_covered_early", ("transitive",), _covered_early),
+    ("strong_stable_by_n_when_many_components", ("transitive",), _strong_stable_by_n),
+    ("strong_stable_late_when_few_components", ("transitive",), _strong_stable_late),
+)
+
+
+def verify_growth_lemmas(trace: GrowthTrace, transitive: bool) -> LemmaReport:
+    """Run every growth-structure theorem on ``trace`` as an executable check.
+
+    All of these are proved facts, so any failure indicates an implementation
+    bug.  ``transitive`` says whether the permutations of the trace act
+    transitively (the caller has tested it, e.g. as ``cone.is_subspace``);
+    checks whose hypothesis needs that are reported n/a when they do not.
+    """
+    unmet = {} if transitive else {"transitive": "permutation set not transitive"}
+    return LemmaReport().run(GROWTH_CHECKS, trace, unmet)
 
 
 def translen_k_bound(aut: Automaton, cone: ConeReport) -> int:

@@ -8,15 +8,15 @@ sweep generated or enumerated instance batches and aggregate failures.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import product
 from operator import add
 from typing import Sequence
 
 from .automaton import (
     Automaton,
-    is_strongly_connected,
     is_synchronizing,
     reset_threshold_exact,
     states_of,
@@ -26,6 +26,7 @@ from .automaton import (
 )
 from .bounds import bound_defect1, bound_main, bound_rystsov, synthesize_reset_word
 from .cones import (
+    ConeReport,
     cone_sequence,
     ell_all,
     escape_word_from_steps,
@@ -36,6 +37,8 @@ from .cones import (
 from .errors import CapExceeded, NotSynchronizing
 from .generate import cerny, enumerate_automata, exhaustive_st_instances, random_st
 from .growth import (
+    GROWTH_CHECKS,
+    GrowthTrace,
     LemmaReport,
     gamma_growth,
     translen_k_bound,
@@ -51,19 +54,9 @@ EXHAUSTIVE_SUBSETS = 1 << 14
 
 # The checks of the lemma audit's subset sweep, in the order they run on each
 # subset.
-ESCAPE, EXTENSION, TWO_N = SWEEP_CHECKS = (
-    "escape_length_within_codimension",
-    "extension_length_within_cone_bound",
-    "extension_within_2n_minus_3",
-)
-
-# The checks that compare the cone with the growth digraph, in the order they
-# run; they need a defect-1 letter and no letter of defect 2 or more.
-BRIDGE, LIMIT_DIM, DIGRAPH_BOUND = DIGRAPH_CHECKS = (
-    "cone_digraph_bridge",
-    "limit_dim_matches_components",
-    "k_transient_within_digraph_bound",
-)
+ESCAPE = "escape_length_within_codimension"
+EXTENSION = "extension_length_within_cone_bound"
+TWO_N = "extension_within_2n_minus_3"
 
 
 @dataclass
@@ -83,227 +76,228 @@ class SuiteReport:
 # ---------------------------------------------------------------------------
 # per-instance lemma audit
 
-def lemma_suite(aut: Automaton) -> LemmaReport:
-    """Audit one automaton, with every defect-0 letter in the permutation set,
-    against every executable lemma that applies.
+class _Audit:
+    """The facts the lemma checks read about one automaton, each computed
+    once, on first use, and the checks longer than one line.
 
-    Subset-quantified checks run exhaustively while 2^n is at most
-    ``EXHAUSTIVE_SUBSETS`` and on 2048 seeded random subsets beyond it; the
-    growth identity is checked on every word of length at most 3.  When every
-    letter has defect at most one and n >= 3, ``extension_within_2n_minus_3``
-    checks that every nonempty proper subset extends within 2n - 3 letters,
-    the step behind the bound 2n^2 - 7n + 7 = 1 + (n - 2)(2n - 3).  Checks
-    whose hypotheses do not hold for this instance report n/a, and so do the
-    subset-sweep checks that a failure stopped before the last subset.
+    ``unmet`` maps each hypothesis the automaton does not meet to the reason
+    a check that names it reads n/a.  Strong connectivity is no hypothesis:
+    a transitive permutation set already makes the automaton strongly
+    connected.
     """
-    n = aut.n
-    k_letters = len(aut.letters)
-    size = 1 << n
-    exhaustive = size <= EXHAUSTIVE_SUBSETS
-    sync = is_synchronizing(aut)
-    connected = is_strongly_connected(aut)
-    defects = aut.letter_defects
-    has_deficient = any(d > 0 for d in defects)
-    defect_at_most_1 = all(d <= 1 for d in defects)
-    has_defect_1 = any(d == 1 for d in defects)
-    report = LemmaReport()
 
-    rng = random.Random(0x5EED ^ (n << 16) ^ k_letters)
-    if exhaustive:
-        masks = range(size)
-        pre_tabs = aut.preimage_mask_table
-        pc = [m.bit_count() for m in range(size)]
-    else:
-        masks = [rng.randrange(size) for _ in range(2048)]
-        pre_tabs = None
-        pc = None
+    def __init__(self, aut: Automaton):
+        self.aut = aut
+        self.n = aut.n
+        self.size = 1 << aut.n
+        self.exhaustive = self.size <= EXHAUSTIVE_SUBSETS
+        defects = aut.letter_defects
+        deficient = any(defects)
+        at_most_1 = all(d <= 1 for d in defects)
+        hypotheses = {
+            "synchronizing": (is_synchronizing(aut), "automaton not synchronizing"),
+            "exhaustive": (self.exhaustive, "state set too large for exhaustive sweep"),
+            "defect_at_most_1": (at_most_1, "letters of defect 2 or more present"),
+            "three_states": (aut.n >= 3, "2n - 3 needs at least 3 states"),
+            "defect_1": (1 in defects, "no defect-1 letter"),
+            "deficient": (deficient, "no deficient letter"),
+            # named only after "deficient": the cone needs a deficient letter
+            "transitive": (deficient and self.cone.is_subspace, "permutation set not transitive"),
+        }
+        self.unmet = {h: why for h, (holds, why) in hypotheses.items() if not holds}
 
-    # growth identity |S.w^-1| - |S| = <char(S), k_w> on all short words
-    identity_ok = True
-    identity_detail = ""
-    words = [
-        word
-        for length in range(4)
-        for word in itertools.product(range(k_letters), repeat=length)
-    ]
-    # preimages[w][mask] is the preimage of mask under w, one lookup from
-    # that of w's suffix; words come shortest first, so the suffix is there
-    # (the longest words are suffixes of nothing and are not kept)
-    preimages = {(): range(size)}
-    for word in words:
-        vec = k_vector(aut, word).vector
-        if exhaustive:
-            sums = subset_table(vec, add)
-            arr = preimages.get(word)
-            if arr is None:
-                arr = list(map(pre_tabs[word[0]].__getitem__, preimages[word[1:]]))
-                if len(word) < 3:
-                    preimages[word] = arr
-            for mask in masks:
-                if pc[arr[mask]] - pc[mask] != sums[mask]:
-                    identity_ok = False
-                    identity_detail = f"word {word}, subset mask {mask}"
-                    break
-        else:
-            support = support_masks(vec)
-            for mask in masks:
-                got = word_preimage_mask(aut, mask, word).bit_count() - mask.bit_count()
-                if got != support_sum(support, mask):
-                    identity_ok = False
-                    identity_detail = f"word {word}, subset mask {mask}"
-                    break
-        if not identity_ok:
-            break
-    report.add("preimage_growth_identity", identity_ok, identity_detail)
+    @cached_property
+    def cone(self) -> ConeReport:
+        return cone_sequence(self.aut, *resolve_perm_set(self.aut))
 
-    if not has_deficient:
-        report.add_na("limit_generators_sum_zero", "no deficient letter")
-        return report
+    @cached_property
+    def popcounts(self) -> list[int]:
+        return [m.bit_count() for m in range(self.size)]
 
-    cone = cone_sequence(aut, *resolve_perm_set(aut))
-    transitive = cone.is_subspace
-    vectors = cone.limit_vectors
-    report.add("limit_generators_sum_zero", all(sum(v) == 0 for v in vectors), "")
-    report.add(
-        "t_transient_at_least_k_transient",
-        cone.trans_len_t >= cone.trans_len_k,
-        f"T {cone.trans_len_t} vs K {cone.trans_len_k}",
-    )
+    @cached_property
+    def escape(self) -> tuple[list, list]:
+        """``ell_all``'s escape distances and steps over every subset mask."""
+        return ell_all(self.aut, self.cone.limit_vectors)
 
-    # stabilization certificate: one-step equality at the reported index,
-    # strict growth just before it
-    j = cone.trans_len_k
-    tier_j, tier_next = cone.tier(j), cone.tier(j + 1)
-    cone_j = Cone(tier_j, n)
-    cert_ok = all(v in cone_j for v in tier_next - tier_j)
-    if cert_ok and j > 0:
-        tier_prev = cone.tier(j - 1)
-        cone_prev = Cone(tier_prev, n)
-        cert_ok = any(v not in cone_prev for v in tier_j - tier_prev)
-    report.add("k_transient_certificate", cert_ok, f"index {j}")
+    @cached_property
+    def trace(self) -> GrowthTrace:
+        return gamma_growth(self.aut, self.cone.perms)
 
-    if transitive:
-        limit_cone = Cone(vectors, n)
-        report.add(
-            "negation_closure_of_limit_cone",
-            all(tuple(-x for x in v) in limit_cone for v in vectors),
-            "",
-        )
-    else:
-        report.add_na("negation_closure_of_limit_cone", "permutation set not transitive")
+    @cached_property
+    def growth(self) -> dict[str, tuple[bool | None, str]]:
+        """The ``(ok, detail)`` of each growth-structure check, by name."""
+        report = verify_growth_lemmas(self.trace, self.cone.is_subspace)
+        return {c.name: ({"pass": True, "fail": False}.get(c.status), c.detail)
+                for c in report.checks}
 
-    # polar membership forces letter preimages to keep the cardinality when
-    # the limit cone is a subspace (generators negation-closed); without
-    # that symmetry only the non-increasing direction holds.  Escape distance
-    # 0 is exactly "outside the polar cone".
-    if exhaustive:
-        dist, step = ell_all(aut, vectors)
-        stable_ok = True
-        stable_detail = ""
-        for m in range(size):
-            if dist[m] == 0:
-                continue
-            for tab in pre_tabs:
-                delta = pc[tab[m]] - pc[m]
-                if delta > 0 or (transitive and delta != 0):
-                    stable_ok = False
-                    stable_detail = f"mask {m}"
-                    break
-            if not stable_ok:
-                break
-        report.add("polar_members_have_stable_preimages", stable_ok, stable_detail)
-    else:
-        report.add_na(
-            "polar_members_have_stable_preimages", "state set too large for exhaustive sweep"
-        )
+    @cached_property
+    def sweep(self) -> dict[str, tuple[bool | None, str]]:
+        """The ``(ok, detail)`` of each sweep check, from one pass over the
+        nonempty proper subsets.
 
-    if not defect_at_most_1:
-        two_n_na = "letters of defect 2 or more present"
-    elif n < 3:
-        two_n_na = "2n - 3 needs at least 3 states"
-    else:
-        two_n_na = None
-    if sync and connected and transitive and exhaustive:
-        # one sweep over the nonempty proper subsets; an escape or extension
-        # failure ends it, so the checks that have not failed by then did not
-        # run to the end and report n/a
+        An escape or extension failure ends the pass, so the sweep checks
+        that have not failed by then read n/a.  A 2n - 3 failure is recorded
+        and the pass goes on.
+        """
+        aut, n, cone = self.aut, self.n, self.cone
+        dist, step = self.escape
         bound_codim = n - 1 - cone.span_dim
         failed: dict[str, str] = {}
         stopped = ""
-        for mask in range(1, size - 1):
-            failure = None
+        for mask in range(1, self.size - 1):
             if dist[mask] is None or dist[mask] > bound_codim:
-                failure = ESCAPE, f"escape {dist[mask]}"
+                name, why = ESCAPE, f"escape {dist[mask]}"
             else:
                 witness, escaped_mask = escape_word_from_steps(step, mask)
                 word = cone.extension_word(escaped_mask, witness)
                 if word is None:
-                    failure = EXTENSION, "no extending word"
+                    name, why = EXTENSION, "no extending word"
                 elif len(word) > cone.trans_len_k + dist[mask] + 1:
-                    failure = EXTENSION, f"length {len(word)}"
+                    name, why = EXTENSION, f"length {len(word)}"
                 elif word_preimage_mask(aut, mask, word).bit_count() <= mask.bit_count():
-                    failure = EXTENSION, "no growth"
-                elif two_n_na is None and len(word) > 2 * n - 3 and TWO_N not in failed:
-                    failed[TWO_N] = f"subset {sorted(states_of(mask))}: length {len(word)}"
-            if failure is not None:
-                name, why = failure
-                subset = sorted(states_of(mask))
-                failed[name] = f"subset {subset}: {why}"
-                stopped = f"not run past subset {subset}: {name} failed there"
-                break
-        for name in SWEEP_CHECKS:
-            if name == TWO_N and two_n_na is not None:
-                report.add_na(name, two_n_na)
-            elif name in failed:
-                report.add(name, False, failed[name])
-            elif stopped:
-                report.add_na(name, stopped)
+                    name, why = EXTENSION, "no growth"
+                else:
+                    if len(word) > 2 * n - 3 and TWO_N not in failed:
+                        failed[TWO_N] = f"subset {sorted(states_of(mask))}: length {len(word)}"
+                    continue
+            subset = sorted(states_of(mask))
+            failed[name] = f"subset {subset}: {why}"
+            stopped = f"not run past subset {subset}: {name} failed there"
+            break
+        rest = (None, stopped) if stopped else (True, "")
+        return {name: (False, failed[name]) if name in failed else rest
+                for name in (ESCAPE, EXTENSION, TWO_N)}
+
+    def growth_identity(self) -> tuple[bool, str]:
+        # |S.w^-1| - |S| = <char(S), k_w> on every word of length at most 3
+        aut, size = self.aut, self.size
+        k_letters = len(aut.letters)
+        words = [w for length in range(4) for w in product(range(k_letters), repeat=length)]
+        if self.exhaustive:
+            masks = range(size)
+            pre_tabs = aut.preimage_mask_table
+            pc = self.popcounts
+        else:
+            rng = random.Random(0x5EED ^ (self.n << 16) ^ k_letters)
+            masks = [rng.randrange(size) for _ in range(2048)]
+        # preimages[w][mask] is the preimage of mask under w, one lookup from
+        # that of w's suffix; words come shortest first, so the suffix is there
+        # (the longest words are suffixes of nothing and are not kept)
+        preimages = {(): range(size)}
+        for word in words:
+            vec = k_vector(aut, word).vector
+            if self.exhaustive:
+                sums = subset_table(vec, add)
+                arr = preimages.get(word)
+                if arr is None:
+                    arr = list(map(pre_tabs[word[0]].__getitem__, preimages[word[1:]]))
+                    if len(word) < 3:
+                        preimages[word] = arr
+                for mask in masks:
+                    if pc[arr[mask]] - pc[mask] != sums[mask]:
+                        return False, f"word {word}, subset mask {mask}"
             else:
-                report.add(name, True, "")
-    else:
-        why = (
-            "needs synchronizing, strongly connected, transitive, exhaustive"
-            f" (sync={sync}, connected={connected}, transitive={transitive})"
-        )
-        for name in SWEEP_CHECKS:
-            report.add_na(name, why)
+                support = support_masks(vec)
+                for mask in masks:
+                    got = word_preimage_mask(aut, mask, word).bit_count() - mask.bit_count()
+                    if got != support_sum(support, mask):
+                        return False, f"word {word}, subset mask {mask}"
+        return True, ""
 
-    if has_defect_1:
-        trace = gamma_growth(aut, cone.perms)
-        report.checks.extend(verify_growth_lemmas(trace, transitive).checks)
-    if not (has_defect_1 and defect_at_most_1):
-        why = "letters of defect 2 or more present" if has_defect_1 else "no defect-1 letter"
-        for name in DIGRAPH_CHECKS:
-            report.add_na(name, why)
-        return report
+    def k_certificate(self) -> tuple[bool, str]:
+        # one-step equality at the reported index, strict growth just before it
+        cone, j = self.cone, self.cone.trans_len_k
+        tier_j, tier_next = cone.tier(j), cone.tier(j + 1)
+        cone_j = Cone(tier_j, self.n)
+        ok = all(v in cone_j for v in tier_next - tier_j)
+        if ok and j > 0:
+            tier_prev = cone.tier(j - 1)
+            cone_prev = Cone(tier_prev, self.n)
+            ok = any(v not in cone_prev for v in tier_j - tier_prev)
+        return ok, f"index {j}"
 
-    bridge_ok = len(cone.level_ends) == len(trace.levels)
-    bridge_detail = ""
-    if bridge_ok:
-        for i, level in enumerate(trace.levels):
-            arcs_as_vectors = {unit_difference(q, p, n) for (p, q) in level.arcs}
-            if cone.tier(i) != arcs_as_vectors:
-                bridge_ok = False
-                bridge_detail = f"level {i}"
-                break
-    else:
-        bridge_detail = f"tier count {len(cone.level_ends)} vs levels {len(trace.levels)}"
-    report.add(BRIDGE, bridge_ok, bridge_detail)
-    report.add(
-        LIMIT_DIM,
-        cone.span_dim == n - len(trace.limit_decomposition.wccs),
-        f"dim {cone.span_dim}, weak components {len(trace.limit_decomposition.wccs)}",
-    )
-    if transitive:
-        bound39 = translen_k_bound(aut, cone)
-        report.add(
-            DIGRAPH_BOUND,
-            cone.trans_len_k <= bound39,
-            f"transient {cone.trans_len_k}, bound {bound39}",
-        )
-    else:
-        report.add_na(DIGRAPH_BOUND, "not transitive")
-    return report
+    def negation_closure(self) -> tuple[bool, str]:
+        limit_cone = Cone(self.cone.limit_vectors, self.n)
+        return all(tuple(-x for x in v) in limit_cone for v in self.cone.limit_vectors), ""
+
+    def stable_preimages(self) -> tuple[bool, str]:
+        # polar membership forces letter preimages to keep the cardinality
+        # when the limit cone is a subspace (generators negation-closed);
+        # without that symmetry only the non-increasing direction holds.
+        # Escape distance 0 is exactly "outside the polar cone".
+        dist, pc, transitive = self.escape[0], self.popcounts, self.cone.is_subspace
+        for m in range(self.size):
+            if dist[m] == 0:
+                continue
+            for tab in self.aut.preimage_mask_table:
+                delta = pc[tab[m]] - pc[m]
+                if delta > 0 or (transitive and delta != 0):
+                    return False, f"mask {m}"
+        return True, ""
+
+    def bridge(self) -> tuple[bool, str]:
+        cone, levels = self.cone, self.trace.levels
+        if len(cone.level_ends) != len(levels):
+            return False, f"tier count {len(cone.level_ends)} vs levels {len(levels)}"
+        for i, level in enumerate(levels):
+            if cone.tier(i) != {unit_difference(q, p, self.n) for (p, q) in level.arcs}:
+                return False, f"level {i}"
+        return True, ""
+
+    def limit_dim(self) -> tuple[bool, str]:
+        dim, wccs = self.cone.span_dim, len(self.trace.limit_decomposition.wccs)
+        return dim == self.n - wccs, f"dim {dim}, weak components {wccs}"
+
+    def digraph_bound(self) -> tuple[bool, str]:
+        k, bound = self.cone.trans_len_k, translen_k_bound(self.aut, self.cone)
+        return k <= bound, f"transient {k}, bound {bound}"
+
+
+# hypotheses that several checks name
+DEFICIENT = ("deficient",)
+SWEEP = DEFICIENT + ("transitive", "synchronizing", "exhaustive")
+DIGRAPH = DEFICIENT + ("defect_1", "defect_at_most_1")
+
+# The lemma audit in report order: each check's name, the hypotheses it
+# names, and the check, which returns (ok, detail) with ok None for n/a.
+# Every check after the first reads the cone, so it needs a deficient letter.
+LEMMA_CHECKS = (
+    ("preimage_growth_identity", (), _Audit.growth_identity),
+    ("limit_generators_sum_zero", DEFICIENT,
+     lambda a: (all(sum(v) == 0 for v in a.cone.limit_vectors), "")),
+    ("t_transient_at_least_k_transient", DEFICIENT,
+     lambda a: (a.cone.trans_len_t >= a.cone.trans_len_k,
+                f"T {a.cone.trans_len_t} vs K {a.cone.trans_len_k}")),
+    ("k_transient_certificate", DEFICIENT, _Audit.k_certificate),
+    ("negation_closure_of_limit_cone", DEFICIENT + ("transitive",), _Audit.negation_closure),
+    ("polar_members_have_stable_preimages", DEFICIENT + ("exhaustive",), _Audit.stable_preimages),
+    (ESCAPE, SWEEP, lambda a: a.sweep[ESCAPE]),
+    (EXTENSION, SWEEP, lambda a: a.sweep[EXTENSION]),
+    (TWO_N, SWEEP + ("defect_at_most_1", "three_states"), lambda a: a.sweep[TWO_N]),
+    *((name, DEFICIENT + ("defect_1",), lambda a, name=name: a.growth[name])
+      for name, _, _ in GROWTH_CHECKS),
+    ("cone_digraph_bridge", DIGRAPH, _Audit.bridge),
+    ("limit_dim_matches_components", DIGRAPH, _Audit.limit_dim),
+    ("k_transient_within_digraph_bound", DIGRAPH + ("transitive",), _Audit.digraph_bound),
+)
+
+
+def lemma_suite(aut: Automaton) -> LemmaReport:
+    """Audit one automaton, with every defect-0 letter in the permutation set,
+    against the executable lemmas of ``LEMMA_CHECKS``, in that order.
+
+    Every report lists the same 19 checks in the same order.  A check reads
+    n/a with the reason of the first of its hypotheses the automaton does
+    not meet.  Subset-quantified checks run exhaustively while 2^n is at
+    most ``EXHAUSTIVE_SUBSETS`` and on 2048 seeded random subsets beyond it;
+    the growth identity is checked on every word of length at most 3.  When
+    every letter has defect at most one and n >= 3,
+    ``extension_within_2n_minus_3`` checks that every nonempty proper subset
+    extends within 2n - 3 letters, the step behind the bound
+    2n^2 - 7n + 7 = 1 + (n - 2)(2n - 3).
+    """
+    audit = _Audit(aut)
+    return LemmaReport().run(LEMMA_CHECKS, audit, audit.unmet)
 
 
 # ---------------------------------------------------------------------------

@@ -74,8 +74,24 @@ def with_arcs_at(trace, i, arcs):
     return dataclasses.replace(trace, levels=tuple(levels))
 
 
-# (check, instance, reader in synchro.verify, tamper of what it returns); every
-# check passes on the untampered instance (TestLemmaSuite.test_family_instances_pass)
+def with_level0_components_swapped(trace):
+    """The trace with a state of level 0's two-state weak component swapped
+    for a singleton component's state: the component count, and with it the
+    rank, still holds, but an arc now joins two components."""
+    deco = trace.decompositions[0]
+    a, b = sorted(next(w for w in deco.wccs if len(w) == 2))
+    c = next(q for q in range(1, trace.n + 1) if frozenset({q}) in deco.wccs)
+    wrong = (frozenset({a, c}), frozenset({b})) + tuple(
+        w for w in deco.wccs if w not in ({a, b}, {c})
+    )
+    return dataclasses.replace(
+        trace, decompositions=(dataclasses.replace(deco, wccs=wrong),) + trace.decompositions[1:]
+    )
+
+
+# (check, instance, reader in synchro.verify, tamper of what it returns), in
+# the order lemma_suite reports the checks; every check passes on the
+# untampered instance (TestLemmaSuite.test_family_instances_pass)
 TAMPERS = [
     ("preimage_growth_identity", 6, "k_vector",
      lambda kv: KVector((kv.vector[0] + 1,) + kv.vector[1:], kv.word)),
@@ -94,15 +110,10 @@ TAMPERS = [
     # only the letter b is left as an extension candidate
     (EXTENSION, 6, "cone_sequence", lambda c: dataclasses.replace(c, trans_len_k=0)),
     (TWO_N, 6, "cone_sequence", padded_extensions),
-    ("cone_digraph_bridge", 6, "gamma_growth",
-     lambda t: with_arcs_at(t, t.transient, t.limit.arcs - {(6, 1)})),
-    ("limit_dim_matches_components", 6, "cone_sequence",
-     lambda c: dataclasses.replace(c, span_dim=c.span_dim - 1)),
-    # the digraph bound is 3 * dim - n - 1 = 8 for dim 5 and n 6
-    ("k_transient_within_digraph_bound", 6, "cone_sequence",
-     lambda c: dataclasses.replace(c, trans_len_k=9)),
     # the shift of arc (1, 2) by the cycle a is (2, 3)
     ("arc_shift_closure", 6, "gamma_growth", lambda t: with_arcs_at(t, 1, {(1, 2)})),
+    ("incidence_rank_matches_weak_components", 6, "gamma_growth",
+     with_level0_components_swapped),
     ("weak_equals_strong_at_limit", 6, "gamma_growth",
      lambda t: dataclasses.replace(t, decompositions=t.decompositions[:-1] + (
          dataclasses.replace(t.limit_decomposition, sccs=t.decompositions[0].sccs),))),
@@ -118,7 +129,19 @@ TAMPERS = [
     # checked at level 2n - 3d - 1 = 8
     ("strong_stable_late_when_few_components", 6, "gamma_growth",
      lambda t: with_decomposition_at(t, 8, t.decompositions[0])),
+    ("cone_digraph_bridge", 6, "gamma_growth",
+     lambda t: with_arcs_at(t, t.transient, t.limit.arcs - {(6, 1)})),
+    ("limit_dim_matches_components", 6, "cone_sequence",
+     lambda c: dataclasses.replace(c, span_dim=c.span_dim - 1)),
+    # the digraph bound is 3 * dim - n - 1 = 8 for dim 5 and n 6
+    ("k_transient_within_digraph_bound", 6, "cone_sequence",
+     lambda c: dataclasses.replace(c, trans_len_k=9)),
 ]
+
+# the permutation-only, defect-2 and non-transitive instances of TestLemmaSuite
+PERMUTATION_ONLY = Automaton(("a",), ((1, 0),))
+DEFECT_TWO = Automaton(("a", "b", "c"), ((1, 2, 0), (0, 0, 0), (0, 0, 2)))
+NOT_TRANSITIVE = Automaton(("a", "b"), ((2, 3, 4, 5, 0, 1), (1, 1, 2, 3, 4, 5)))
 
 
 class TestLemmaSuite:
@@ -253,12 +276,50 @@ class TestLemmaSuite:
     def test_perm_set_resolved_and_tested_once_per_reader(self, monkeypatch):
         # resolved by lemma_suite and tested for transitivity by
         # cone_sequence alone (lemma_suite, verify_growth_lemmas and
-        # translen_k_bound read cone.is_subspace)
+        # translen_k_bound read cone.is_subspace); the audit tests
+        # synchronization once and never strong connectivity, which a
+        # transitive permutation set implies
         counts = count_calls(
-            monkeypatch, "permgroup.resolve_perm_set", "permgroup.is_transitive"
+            monkeypatch,
+            "permgroup.resolve_perm_set",
+            "permgroup.is_transitive",
+            "automaton.is_synchronizing",
+            "automaton.is_strongly_connected",
         )
         assert lemma_suite(cerny(6)).ok
-        assert counts == {"resolve_perm_set": 1, "is_transitive": 1}
+        assert counts == {"resolve_perm_set": 1, "is_transitive": 1, "is_synchronizing": 1}
+        assert counts["is_strongly_connected"] == 0
+
+    def test_two_n_failure_outlasts_a_later_stop(self, monkeypatch):
+        # the 2n - 3 failure at subset [1] stands when an escape failure at
+        # the last subset ends the sweep
+        tamper(monkeypatch, "cone_sequence", padded_extensions)
+        tamper(monkeypatch, "ell_all", escape_distance(0b111110, 99))
+        inst = lemma_suite(cerny(6))
+        assert (inst.by_name(TWO_N).status, inst.by_name(TWO_N).detail) == (
+            "fail", "subset [1]: length 12"
+        )
+        assert inst.by_name(ESCAPE).detail == "subset [2, 3, 4, 5, 6]: escape 99"
+        assert inst.by_name(EXTENSION).status == "n/a"
+
+    def test_tampers_cover_every_check_in_report_order(self):
+        assert [t[0] for t in TAMPERS] == [c.name for c in lemma_suite(cerny(6)).checks]
+
+    def test_every_report_lists_the_same_checks(self):
+        names = [c.name for c in lemma_suite(cerny(6)).checks]
+        assert len(names) == 19
+        reports = {aut: lemma_suite(aut) for aut in (PERMUTATION_ONLY, DEFECT_TWO, NOT_TRANSITIVE)}
+        for report in reports.values():
+            assert [c.name for c in report.checks] == names
+        # every check after the growth identity needs the cone, so a deficient letter
+        assert {(c.status, c.detail) for c in reports[PERMUTATION_ONLY].checks[1:]} == {
+            ("n/a", "no deficient letter")
+        }
+        for name in (ESCAPE, EXTENSION, TWO_N, "k_transient_within_digraph_bound"):
+            check = reports[NOT_TRANSITIVE].by_name(name)
+            assert (check.status, check.detail) == ("n/a", "permutation set not transitive")
+        suite = suite_lemmas(2, (5,), 3, exhaustive_n_max=3)
+        assert suite.details["total_checks"] == 19 * suite.checked
 
     def test_arcs_recognised_once_per_cone(self, monkeypatch):
         # the cone transient's one subspace test and the audit's cones for
