@@ -311,59 +311,70 @@ def is_synchronizing(aut: Automaton) -> bool:
     return all(mergeable)
 
 
-def reset_threshold_exact(aut: Automaton, cap: int = DEFAULT_SUBSET_CAP) -> tuple[int, Word]:
-    """Exact reset threshold with a shortest witness word.
+def subset_search(
+    chunks: Sequence[Sequence[Sequence[int]]], start: int, goal: Callable[[int], bool],
+    cap: int, what: str,
+) -> tuple[int, Word] | None:
+    """Level-order search of the subset lattice from ``start`` for a subset
+    satisfying ``goal``, over one chunk-table family (``image_chunks`` or
+    ``preimage_chunks`` of an automaton).
 
-    Breadth-first search on the subset lattice, level by level, starting from
-    the full state set and applying letters forward, so the first singleton
-    reached sits at minimum depth.  Each level's images come from
-    ``Automaton.image_chunks``, one list per letter; they are then scanned in
-    (subset, letter) order, subsets in the order they were discovered and
-    letters in alphabet order, and each new subset keeps its first
-    discoverer.  So ties among shortest words are broken by letter order and
-    the witness is deterministic for a given automaton.  Memory is bounded
-    by ``cap`` visited subsets.
+    Each level's successors are looked up per letter, then scanned in
+    (subset, letter) order: subsets in discovery order, letters in alphabet
+    order, each new subset keeping its first discoverer.  ``goal`` is tested
+    on ``start``, then on each new subset.  Returns ``(depth, letters in the
+    order applied)``, or None when the search closes without reaching the
+    goal; past ``cap`` visited subsets it raises ResourceCap naming ``what``.
     """
-    if not is_synchronizing(aut):
-        raise NotSynchronizing("automaton admits no reset word")
-    full = aut.full_mask
-    if full.bit_count() == 1:
+    if goal(start):
         return 0, EPSILON
-    k = len(aut.letters)
-    tables = aut.image_chunks
-    shifts = range(0, aut.n, 8)
-    # parents[mask] = prev * k + a: ``mask`` was first reached as prev.a.
-    parents: dict[int, int] = {full: -1}
-    frontier = [full]
+    k = len(chunks)
+    shifts = range(0, 8 * len(chunks[0]), 8)
+    # parents[mask] = prev * k + a: ``mask`` was first reached from prev by a.
+    parents: dict[int, int] = {start: -1}
+    frontier = [start]
     depth = 0
     while frontier:
         depth += 1
-        chunks = [[(mask >> s) & 0xFF for mask in frontier] for s in shifts]
-        images = []
-        for letter_tables in tables:
-            img = list(map(letter_tables[0].__getitem__, chunks[0]))
-            for tab, vals in zip(letter_tables[1:], chunks[1:]):
-                img = list(map(or_, img, map(tab.__getitem__, vals)))
-            images.append(img)
+        parts = [[(mask >> s) & 0xFF for mask in frontier] for s in shifts]
+        successors = []
+        for letter_tables in chunks:
+            out = list(map(letter_tables[0].__getitem__, parts[0]))
+            for tab, vals in zip(letter_tables[1:], parts[1:]):
+                out = list(map(or_, out, map(tab.__getitem__, vals)))
+            successors.append(out)
         level = []
-        for prev, row in zip(frontier, zip(*images)):
+        for prev, row in zip(frontier, zip(*successors)):
             code = prev * k
             for a, nxt in enumerate(row):
                 if nxt in parents:
                     continue
                 parents[nxt] = code + a
-                if nxt & (nxt - 1) == 0:
+                if goal(nxt):
                     word = []
-                    while nxt != full:
+                    while nxt != start:
                         nxt, a = divmod(parents[nxt], k)
                         word.append(a)
-                    word.reverse()
-                    return depth, tuple(word)
+                    return depth, tuple(reversed(word))
                 if len(parents) > cap:
                     raise ResourceCap(
                         f"subset search visited {len(parents)} subsets, over the cap "
-                        f"of {cap}, and reached depth {depth} without a singleton"
+                        f"of {cap}, and reached depth {depth} without {what}"
                     )
                 level.append(nxt)
         frontier = level
-    raise NotSynchronizing("automaton admits no reset word")  # pragma: no cover
+    return None
+
+
+def reset_threshold_exact(aut: Automaton, cap: int = DEFAULT_SUBSET_CAP) -> tuple[int, Word]:
+    """Exact reset threshold with a shortest witness word: :func:`subset_search`
+    forward from the full state set to the first singleton, with at most
+    ``cap`` visited subsets; ties among shortest words go by letter order."""
+    if not is_synchronizing(aut):
+        raise NotSynchronizing("automaton admits no reset word")
+    found = subset_search(
+        aut.image_chunks, aut.full_mask, lambda m: m & (m - 1) == 0, cap, "a singleton"
+    )
+    if found is None:  # pragma: no cover - a synchronizing automaton reaches one
+        raise NotSynchronizing("automaton admits no reset word")
+    return found

@@ -12,21 +12,20 @@ the stabilized cone drives every extension bound below.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from operator import add, itemgetter
 from typing import Sequence
 
 from .automaton import (
+    DEFAULT_SUBSET_CAP,
     Automaton,
-    EPSILON,
     Word,
     deficient_letters,
     is_strongly_connected,
     is_synchronizing,
     mask_of,
-    preimage_mask,
+    subset_search,
     subset_table,
     word_preimage_mask,
 )
@@ -274,38 +273,27 @@ def ell(
 
 
 def polar_escape(aut: Automaton, supports: Sequence[Support], mask: int) -> tuple[int, Word]:
-    """The escape BFS behind :func:`ell` for a subset mask and a cone's
-    ``escape_supports``, without the checks on the automaton.
+    """The escape search behind :func:`ell` for a subset mask and a cone's
+    ``escape_supports``, without the checks on the automaton: a
+    :func:`subset_search` over preimages from ``mask``, capped at
+    ``DEFAULT_SUBSET_CAP``, whose letters are reversed into the escape word
+    because S.(uv)^-1 = (S.v^-1).u^-1.
 
     The caller guarantees that ``aut`` is synchronizing and strongly
     connected and that ``mask`` is a nonempty proper subset; otherwise the
     subset may never escape and this raises InternalContradiction.
     """
-    if _escapes_polar(supports, mask):
-        return 0, EPSILON
-    k = len(aut.letters)
-    parents: dict[int, tuple[int, int]] = {mask: (-1, 0)}
-    queue = deque([mask])
-    while queue:
-        cur = queue.popleft()
-        for a in range(k):
-            nxt = preimage_mask(aut, cur, a)
-            if nxt in parents:
-                continue
-            parents[nxt] = (a, cur)
-            if _escapes_polar(supports, nxt):
-                word = []
-                walk = nxt
-                while walk != mask:
-                    a_, prev = parents[walk]
-                    word.append(a_)
-                    walk = prev
-                return len(word), tuple(word)
-            queue.append(nxt)
-    raise InternalContradiction(
-        "no preimage of the subset leaves the polar cone; this contradicts "
-        "synchronizing strong connectivity and indicates a bug"
+    found = subset_search(
+        aut.preimage_chunks, mask, partial(_escapes_polar, supports),
+        DEFAULT_SUBSET_CAP, "a subset outside the polar cone",
     )
+    if found is None:
+        raise InternalContradiction(
+            "no preimage of the subset leaves the polar cone; this contradicts "
+            "synchronizing strong connectivity and indicates a bug"
+        )
+    depth, letters = found
+    return depth, letters[::-1]
 
 
 def extend_mask(aut: Automaton, mask: int, cone: ConeReport) -> tuple[Word, int]:
@@ -338,32 +326,31 @@ def ell_all(
     length of the subset with mask ``m`` (0 when already outside the polar
     cone, None when unreachable), and ``step[m]`` is (letter, next mask) along
     a shortest escape, with letters accumulating in application order so the
-    witness word is their reverse.  One multi-source BFS from the escaped
-    masks over reversed preimage edges covers the whole lattice.
+    witness word is their reverse.  Level d decides every undecided mask
+    whose preimage under some letter was decided at level d - 1; ``step``
+    takes the lowest such letter.
     """
-    n = aut.n
-    size = 1 << n
-    pre_tabs = aut.preimage_mask_table
-    escaped = escaped_masks(vectors, n)
-    rev: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-    for m in range(size):
-        for a, tab in enumerate(pre_tabs):
-            rev[tab[m]].append((a, m))
-    dist: list[int | None] = [None] * size
-    step: list[tuple[int, int] | None] = [None] * size
-    queue = deque()
-    for m in range(size):
-        if escaped[m]:
-            dist[m] = 0
-            queue.append(m)
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for a, m in rev[u]:
-            if dist[m] is None:
-                dist[m] = du + 1
-                step[m] = (a, u)
-                queue.append(m)
+    pre_tabs = tuple(enumerate(aut.preimage_mask_table))
+    escaped = escaped_masks(vectors, aut.n)
+    dist: list[int | None] = [0 if e else None for e in escaped]
+    step: list[tuple[int, int] | None] = [None] * len(escaped)
+    undecided = [m for m, e in enumerate(escaped) if not e]
+    depth = 0
+    while undecided:
+        depth += 1
+        rest = []
+        for m in undecided:
+            for a, tab in pre_tabs:
+                u = tab[m]
+                if dist[u] == depth - 1:
+                    dist[m] = depth
+                    step[m] = (a, u)
+                    break
+            else:
+                rest.append(m)
+        if len(rest) == len(undecided):
+            break
+        undecided = rest
     return dist, step
 
 

@@ -6,6 +6,7 @@ forms, so they live with the tests: states are 1-indexed sets, vectors plain
 tuples and matrices tuples of row tuples.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from synchro.automaton import (
     word_image_mask,
     word_preimage_mask,
 )
-from synchro.cones import k_vector
+from synchro.cones import escaped_masks, k_vector, support_sum
 from synchro.errors import CapExceeded
 from synchro.linalg import in_cone, unit_difference
 from synchro.permgroup import DEFAULT_GROUP_CAP, compose, identity, resolve_perm_set
@@ -138,6 +139,63 @@ def preimage_matrix(aut, word):
     Acting on row vectors from the right: char(S) [w] = char(S.w^-1).
     """
     return tuple(char_vector(preimage(aut, {q}, word), aut.n) for q in range(1, aut.n + 1))
+
+
+# ---------------------------------------------------------------------------
+# polar escapes by the loops that ``automaton.subset_search`` and the pull
+# form of ``cones.ell_all`` replaced
+
+def reference_polar_escape(aut, supports, mask):
+    """Shortest escape word of ``mask`` from the polar cone that ``supports``
+    decide: a FIFO search over preimages taken one bit at a time, each new
+    subset keeping its first discoverer and letters tried in alphabet order.
+    None when no preimage escapes."""
+
+    def escapes(m):
+        return any(support_sum(support, m) > 0 for support in supports)
+
+    if escapes(mask):
+        return 0, ()
+    parents = {mask: (-1, 0)}
+    queue = deque([mask])
+    while queue:
+        cur = queue.popleft()
+        for a in range(len(aut.letters)):
+            nxt = reference_preimage_mask(aut, cur, a)
+            if nxt in parents:
+                continue
+            parents[nxt] = (a, cur)
+            if escapes(nxt):
+                word = []
+                while nxt != mask:
+                    a_, nxt = parents[nxt]
+                    word.append(a_)
+                return len(word), tuple(word)
+            queue.append(nxt)
+    return None
+
+
+def reference_ell_all(aut, vectors):
+    """``(dist, step)`` of ``cones.ell_all`` by one multi-source FIFO search
+    from the escaped masks over reversed preimage edges; ``step[m]`` points to
+    the earliest-discovered successor."""
+    size = 1 << aut.n
+    escaped = escaped_masks(vectors, aut.n)
+    rev = [[] for _ in range(size)]
+    for m in range(size):
+        for a, tab in enumerate(aut.preimage_mask_table):
+            rev[tab[m]].append((a, m))
+    dist = [0 if e else None for e in escaped]
+    step = [None] * size
+    queue = deque(m for m in range(size) if escaped[m])
+    while queue:
+        u = queue.popleft()
+        for a, m in rev[u]:
+            if dist[m] is None:
+                dist[m] = dist[u] + 1
+                step[m] = (a, u)
+                queue.append(m)
+    return dist, step
 
 
 # ---------------------------------------------------------------------------
