@@ -196,12 +196,24 @@ def subset_table(values: Sequence, combine: Callable) -> list:
     i of m, starting from 0; the table has ``2 ** len(values)`` entries.
 
     Built by doubling: value i extends the table for bits below i by its
-    entries combined with ``values[i]``.
+    entries combined with ``values[i]``.  Past ``DEFAULT_SUBSET_CAP`` entries
+    it raises ResourceCap before building anything.
     """
+    check_subset_table_size(len(values))
     table = [0]
     for value in values:
         table.extend(map(combine, table, repeat(value, len(table))))
     return table
+
+
+def check_subset_table_size(n: int) -> None:
+    """Raise ResourceCap when a table over all 2^n subsets of n states would
+    hold more than ``DEFAULT_SUBSET_CAP`` entries."""
+    if 1 << n > DEFAULT_SUBSET_CAP:
+        raise ResourceCap(
+            f"a table over the subsets of {n} states has {1 << n} entries, "
+            f"over the cap of {DEFAULT_SUBSET_CAP}"
+        )
 
 
 def _chunk_tables(state_masks: Sequence[Sequence[int]]) -> tuple[tuple[list[int], ...], ...]:
@@ -312,27 +324,33 @@ def is_synchronizing(aut: Automaton) -> bool:
 
 
 def subset_search(
-    chunks: Sequence[Sequence[Sequence[int]]], start: int, goal: Callable[[int], bool],
+    chunks: Sequence[Sequence[Sequence[int]]], starts: Sequence[int],
+    goal: Callable[[int], bool], prune: Callable[[int, list[int]], list[int]] | None,
     cap: int, what: str,
 ) -> tuple[int, Word] | None:
-    """Level-order search of the subset lattice from ``start`` for a subset
-    satisfying ``goal``, over one chunk-table family (``image_chunks`` or
-    ``preimage_chunks`` of an automaton).
+    """Level-order search of the subset lattice from the ``starts`` for a
+    subset satisfying ``goal``, over one chunk-table family (``image_chunks``
+    or ``preimage_chunks`` of an automaton).
 
     Each level's successors are looked up per letter, then scanned in
     (subset, letter) order: subsets in discovery order, letters in alphabet
     order, each new subset keeping its first discoverer.  ``goal`` is tested
-    on ``start``, then on each new subset.  Returns ``(depth, letters in the
-    order applied)``, or None when the search closes without reaching the
-    goal; past ``cap`` visited subsets it raises ResourceCap naming ``what``.
+    on the starts, then on each new subset.  ``prune(depth, level)``, when
+    given, filters each level once it is scanned, before it is expanded; a
+    pruned subset stays visited, so no later level holds it.  Returns
+    ``(depth, letters in the order applied)``, or None when the search closes
+    without reaching the goal; past ``cap`` visited subsets it raises
+    ResourceCap naming ``what``.
     """
-    if goal(start):
-        return 0, EPSILON
+    for start in starts:
+        if goal(start):
+            return 0, EPSILON
     k = len(chunks)
     shifts = range(0, 8 * len(chunks[0]), 8)
-    # parents[mask] = prev * k + a: ``mask`` was first reached from prev by a.
-    parents: dict[int, int] = {start: -1}
-    frontier = [start]
+    # parents[mask] = prev * k + a: ``mask`` was first reached from prev by a;
+    # a start has -1.
+    parents: dict[int, int] = dict.fromkeys(starts, -1)
+    frontier = list(parents)
     depth = 0
     while frontier:
         depth += 1
@@ -352,9 +370,11 @@ def subset_search(
                 parents[nxt] = code + a
                 if goal(nxt):
                     word = []
-                    while nxt != start:
-                        nxt, a = divmod(parents[nxt], k)
+                    code = parents[nxt]
+                    while code >= 0:
+                        nxt, a = divmod(code, k)
                         word.append(a)
+                        code = parents[nxt]
                     return depth, tuple(reversed(word))
                 if len(parents) > cap:
                     raise ResourceCap(
@@ -362,18 +382,55 @@ def subset_search(
                         f"of {cap}, and reached depth {depth} without {what}"
                     )
                 level.append(nxt)
-        frontier = level
+        frontier = level if prune is None else prune(depth, level)
     return None
 
 
 def reset_threshold_exact(aut: Automaton, cap: int = DEFAULT_SUBSET_CAP) -> tuple[int, Word]:
-    """Exact reset threshold with a shortest witness word: :func:`subset_search`
-    forward from the full state set to the first singleton, with at most
-    ``cap`` visited subsets; ties among shortest words go by letter order."""
+    """Exact reset threshold with a shortest witness word; ties among
+    shortest words go by letter order.
+
+    Two runs of :func:`subset_search`, each visiting at most ``cap`` subsets.
+    The backward pass runs over preimages from the n singletons towards the
+    full set and keeps its levels: level j holds the preimages of singletons
+    under words of length j that no shorter word reaches.  It gives up once a
+    level holds more than n subsets or the pass goes over ``cap``, and then
+    the forward search runs from the full set to the first singleton
+    unpruned.  Otherwise it reaches the full set at depth d, the reset
+    threshold, and the forward search keeps a subset at depth i only if it
+    lies inside a subset of backward level d - i.  Every subset on a shortest
+    path qualifies, and so does its first discoverer, so the pruned search
+    returns the unpruned search's word; it visits no subset the unpruned one
+    does not, so it raises ResourceCap only where that one does.
+    """
     if not is_synchronizing(aut):
         raise NotSynchronizing("automaton admits no reset word")
+    n, full = aut.n, aut.full_mask
+    levels = [[1 << q for q in range(n)]]
+
+    def keep_narrow(depth: int, level: list[int]) -> list[int]:
+        levels.append(level)
+        return level if len(level) <= n else []
+
+    try:
+        backward = subset_search(
+            aut.preimage_chunks, levels[0], full.__eq__, keep_narrow, cap, "the full set"
+        )
+    except ResourceCap:
+        backward = None
+    prune = None
+    if backward is not None:
+        rt = backward[0]
+
+        # a subset S at depth i inside one at level j has a reset word of
+        # length i + j through S, so j >= d - i; a subset at level j < d - i
+        # contains none at depth i, and only level d - i needs checking
+        def prune(depth: int, level: list[int]) -> list[int]:
+            outside = [full ^ t for t in levels[rt - depth]]
+            return [m for m in level if any(not m & c for c in outside)]
+
     found = subset_search(
-        aut.image_chunks, aut.full_mask, lambda m: m & (m - 1) == 0, cap, "a singleton"
+        aut.image_chunks, [full], lambda m: m & (m - 1) == 0, prune, cap, "a singleton"
     )
     if found is None:  # pragma: no cover - a synchronizing automaton reaches one
         raise NotSynchronizing("automaton admits no reset word")

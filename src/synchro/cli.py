@@ -56,7 +56,7 @@ _FLAGS = {
         type=_positive_int,
         default=DEFAULT_SUBSET_CAP,
         metavar="INT",
-        help="visited-subset cap for exact threshold search",
+        help="visited-subset cap for each pass of the exact threshold search",
     ),
     "--group-cap": dict(
         type=_positive_int,

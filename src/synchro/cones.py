@@ -21,6 +21,7 @@ from .automaton import (
     DEFAULT_SUBSET_CAP,
     Automaton,
     Word,
+    check_subset_table_size,
     deficient_letters,
     is_strongly_connected,
     is_synchronizing,
@@ -284,7 +285,7 @@ def polar_escape(aut: Automaton, supports: Sequence[Support], mask: int) -> tupl
     subset may never escape and this raises InternalContradiction.
     """
     found = subset_search(
-        aut.preimage_chunks, mask, partial(_escapes_polar, supports),
+        aut.preimage_chunks, [mask], partial(_escapes_polar, supports), None,
         DEFAULT_SUBSET_CAP, "a subset outside the polar cone",
     )
     if found is None:
@@ -328,8 +329,10 @@ def ell_all(
     a shortest escape, with letters accumulating in application order so the
     witness word is their reverse.  Level d decides every undecided mask
     whose preimage under some letter was decided at level d - 1; ``step``
-    takes the lowest such letter.
+    takes the lowest such letter.  Past ``DEFAULT_SUBSET_CAP`` masks it
+    raises ResourceCap before building anything.
     """
+    check_subset_table_size(aut.n)
     pre_tabs = tuple(enumerate(aut.preimage_mask_table))
     escaped = escaped_masks(vectors, aut.n)
     dist: list[int | None] = [0 if e else None for e in escaped]
@@ -356,7 +359,10 @@ def ell_all(
 
 def escaped_masks(vectors: Sequence[Vector], n: int) -> bytearray:
     """escaped[m] is 1 exactly when the subset with mask ``m`` lies outside
-    the polar cone, i.e. some vector has a positive sum over it."""
+    the polar cone, i.e. some vector has a positive sum over it.  Past
+    ``DEFAULT_SUBSET_CAP`` masks it raises ResourceCap before building
+    anything."""
+    check_subset_table_size(n)
     escaped = bytearray(1 << n)
     for vec in vectors:
         for m, total in enumerate(subset_table(vec, add)):

@@ -15,10 +15,14 @@ from operator import add, or_
 
 import pytest
 
+from synchro import automaton
 from synchro.automaton import subset_table
+from synchro.cones import cone_sequence, ell_all, escaped_masks
+from synchro.errors import ResourceCap
+from synchro.generate import cerny
 
 from conftest import random_automaton
-from oracles import reference_preimage_table, reference_subset_sums
+from oracles import reference_preimage_table, reference_subset_sums, with_perm_set
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "synchro"
 
@@ -44,6 +48,41 @@ def test_preimage_mask_table_equals_the_low_bit_loop(n):
     assert len(tables) == 2
     for tab, masks in zip(tables, aut.preimage_state_masks):
         assert tab == reference_preimage_table(masks)
+
+
+class TestTableCap:
+    """With the cap at 2^9 entries, every table over all subsets of 9 states
+    is built and one over 10 states raises before it is built; the 8-bit
+    chunk tables, at most 2^8 entries, stay under the cap."""
+
+    @pytest.fixture(autouse=True)
+    def cap_at_nine_states(self, monkeypatch):
+        monkeypatch.setattr(automaton, "DEFAULT_SUBSET_CAP", 1 << 9)
+
+    @staticmethod
+    def raises_over_the_cap(build):
+        with pytest.raises(ResourceCap) as info:
+            build()
+        assert str(info.value) == (
+            "a table over the subsets of 10 states has 1024 entries, over the cap of 512"
+        )
+
+    def test_preimage_mask_table(self):
+        assert len(cerny(9).preimage_mask_table[0]) == 1 << 9
+        self.raises_over_the_cap(lambda: cerny(10).preimage_mask_table)
+
+    def test_escaped_masks(self):
+        vectors = [(1,) + (0,) * 9]
+        assert len(escaped_masks([v[:9] for v in vectors], 9)) == 1 << 9
+        self.raises_over_the_cap(lambda: escaped_masks(vectors, 10))
+
+    def test_ell_all(self):
+        vectors = {n: cone_sequence(*with_perm_set(cerny(n))).limit_vectors for n in (9, 10)}
+        dist, _ = ell_all(cerny(9), vectors[9])
+        assert len(dist) == 1 << 9
+        aut = cerny(10)
+        self.raises_over_the_cap(lambda: ell_all(aut, vectors[10]))
+        assert "preimage_mask_table" not in aut.__dict__
 
 
 def _xor_indexed(node):

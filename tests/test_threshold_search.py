@@ -2,9 +2,11 @@
 
 ``reference_threshold`` is the one-deque, one-image-at-a-time breadth-first
 search that ``reset_threshold_exact`` used before image tables.  The fast
-search must return the identical ``(rt, witness)`` pair, raise at the same
-caps, and the image and preimage chunk tables must agree with the bit loops
-bit for bit.
+search must return the identical ``(rt, witness)`` pair, and raise
+ResourceCap only at caps where the reference raises too: at the same caps
+when the narrow backward pass gives up and the forward search runs unpruned,
+at lower ones when that pass guides it.  The image and preimage chunk tables
+must agree with the bit loops bit for bit.
 """
 
 import random
@@ -13,6 +15,7 @@ from operator import attrgetter
 
 import pytest
 
+from synchro import automaton
 from synchro.automaton import (
     Automaton,
     image_mask,
@@ -80,6 +83,28 @@ def smallest_passing_cap(aut: Automaton) -> int:
     return lo
 
 
+def goal_tests_per_pass(monkeypatch, aut: Automaton, cap: int = 1 << 22):
+    """``reset_threshold_exact(aut, cap)``, and for each of its
+    ``subset_search`` passes, in order, how often the pass tested its goal:
+    once per visited subset, starts included."""
+    counts = []
+    search = automaton.subset_search
+
+    def counting(chunks, starts, goal, prune, cap, what):
+        counts.append(0)
+
+        def counted(mask):
+            counts[-1] += 1
+            return goal(mask)
+
+        return search(chunks, starts, counted, prune, cap, what)
+
+    monkeypatch.setattr(automaton, "subset_search", counting)
+    found = reset_threshold_exact(aut, cap)
+    monkeypatch.setattr(automaton, "subset_search", search)
+    return found, counts
+
+
 def chunk_image(tables: list[list[list[int]]], mask: int, a: int) -> int:
     out = 0
     for c, tab in enumerate(tables[a]):
@@ -110,9 +135,8 @@ class TestMatchesReference:
 
 
 class TestCapBoundary:
-    @pytest.mark.parametrize(
-        "aut", [cerny(8), random_st(12, 2, 1, 31)], ids=["cerny8", "st12"]
-    )
+    # the backward pass gives up on st12, so the forward search runs unpruned
+    @pytest.mark.parametrize("aut", [random_st(12, 2, 1, 31)], ids=["st12"])
     def test_raises_just_below_and_succeeds_at_the_reference_cap(self, aut):
         v = smallest_passing_cap(aut)
         assert v > 1
@@ -121,6 +145,19 @@ class TestCapBoundary:
         with pytest.raises(ResourceCap):
             reset_threshold_exact(aut, cap=v - 1)
         assert reset_threshold_exact(aut, cap=v) == reference_threshold(aut, v)
+
+    def test_cerny8_raises_just_below_and_succeeds_at_the_guided_cap(self, monkeypatch):
+        # both passes end at their goal, so each needs a cap of one less than
+        # its goal tests, the goal subset not counting
+        aut = cerny(8)
+        expected = reference_threshold(aut, 1 << 22)
+        found, counts = goal_tests_per_pass(monkeypatch, aut)
+        assert found == expected and len(counts) == 2
+        v = max(counts) - 1
+        assert 1 < v < smallest_passing_cap(aut)
+        with pytest.raises(ResourceCap):
+            reset_threshold_exact(aut, cap=v - 1)
+        assert reset_threshold_exact(aut, cap=v) == expected
 
     def test_message_names_visited_count_and_depth(self):
         # cerny(5): depth 1 adds only b's 4-set (a permutes the full set), and
@@ -131,6 +168,58 @@ class TestCapBoundary:
             "subset search visited 3 subsets, over the cap of 2, "
             "and reached depth 2 without a singleton"
         )
+
+
+class TestBothRegimes:
+    def test_guided_cerny16_fits_a_quadratic_cap(self):
+        # the unpruned forward search visits 65520 subsets here
+        rt, word = reset_threshold_exact(cerny(16), cap=4 * 16**2)
+        assert rt == 15**2 and word == (1,) + ((0,) * 15 + (1,)) * 14
+
+    def test_wide_backward_levels_fall_back_to_the_plain_search(self, monkeypatch):
+        aut = random_st(14, 2, 2, 3)
+        found, counts = goal_tests_per_pass(monkeypatch, aut)
+        backward, forward = counts
+        # the backward pass gives up after a few narrow levels, and the
+        # forward pass tests as many subsets as an unpruned search does
+        assert backward < forward // 100
+        tested = []
+
+        def singleton(mask):
+            tested.append(mask)
+            return mask & (mask - 1) == 0
+
+        automaton.subset_search(
+            aut.image_chunks, [aut.full_mask], singleton, None, 1 << 22, "a singleton"
+        )
+        assert forward == len(tested) > 1 << 13
+        assert found == reference_threshold(aut, 1 << 22)
+
+    def test_raises_only_where_the_reference_raises(self):
+        rng = random.Random(34)
+        # random tables seldom synchronize slowly; cerny tables always do
+        sizes = rng.choices(range(2, 10), k=300)
+        auts = [random_automaton(rng, n, rng.randint(1, 3)) for n in sizes]
+        auts += [cerny(n) for n in range(4, 10) for _ in range(10)]
+        raised = rescued = 0
+        for aut in auts:
+            cap = rng.randint(1, 1 << aut.n)
+            expected = outcome(reference_threshold, aut)
+            try:
+                got = outcome(reset_threshold_exact, aut, cap)
+            except ResourceCap:
+                raised += 1
+                with pytest.raises(ResourceCap):
+                    reference_threshold(aut, cap)
+                continue
+            assert got == expected, (aut.table, cap)
+            try:
+                outcome(reference_threshold, aut, cap)
+            except ResourceCap:
+                rescued += 1
+        # both outcomes occur, and the guided pass needs less than the
+        # reference on some pairs
+        assert raised > 0 and rescued > 0
 
 
 # (chunk tables, chunked lookup, bit loop) per direction
